@@ -10,6 +10,7 @@ Pure function of the prompt, so runs are exactly reproducible offline.
 from __future__ import annotations
 
 import re
+import threading
 
 from .errors import MissingScriptError
 from .gateway import ChatBackend, ChatRequest, ChatResponse, TokenUsage
@@ -89,12 +90,14 @@ class HeuristicBackend(ChatBackend):
 
     def __init__(self):
         self.call_count = 0
+        self._lock = threading.Lock()
 
     def describe(self) -> str:
         return "heuristic"
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        self.call_count += 1
+        with self._lock:
+            self.call_count += 1
         text = request.text()
         if text.startswith("Format the following public event record."):
             reply = self._format_event(text)

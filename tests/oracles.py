@@ -2,8 +2,9 @@
 
 Everything here is deliberately written on a different path from the code
 under test: pure-python loops instead of numpy, the atan2 great-circle
-formulation instead of asin, a hand-rolled canonical serializer, and a
-direct per-trip counting loop. Keep it that way; these are the oracles.
+formulation instead of asin, a hand-rolled canonical serializer, a direct
+per-trip counting loop, and a tree builder that re-sorts every column at
+every node. Keep it that way; these are the oracles.
 """
 
 import json
@@ -11,6 +12,10 @@ import math
 import re
 from collections import defaultdict
 from datetime import date, timedelta
+
+import numpy as np
+
+from mpe.baselines import GbdtModel, GbdtParams, TreeNode
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -196,3 +201,82 @@ def planted_effect_bounds(truth_rows):
     mae_blind = sum(blind_err) / len(blind_err)
     mae_informed = sum(informed_err) / len(informed_err)
     return mae_blind, mae_informed
+
+
+def _reference_best_split(X, residuals, indices, min_leaf):
+    """Greedy variance-reduction split over midpoints between distinct values.
+
+    Split SSE decomposes as sum(r^2) minus the "explained" term
+    L^2/n_L + R^2/n_R, so maximizing the latter minimizes the former.
+    Ties break toward the lowest feature index, then the lowest threshold.
+    """
+    n = indices.size
+    res = residuals[indices]
+    total = res.sum()
+    no_split = total * total / n
+    best = None  # (explained, feature, threshold)
+    for feature in range(X.shape[1]):
+        values = X[indices, feature]
+        order = np.argsort(values, kind="stable")
+        sorted_vals = values[order]
+        csum = np.cumsum(res[order])
+        # candidate boundaries between distinct consecutive values
+        boundary = np.nonzero(sorted_vals[1:] != sorted_vals[:-1])[0] + 1
+        positions = boundary[(boundary >= min_leaf) & (n - boundary >= min_leaf)]
+        if positions.size == 0:
+            continue
+        left_sum = csum[positions - 1]
+        right_sum = total - left_sum
+        explained = left_sum**2 / positions + right_sum**2 / (n - positions)
+        i = int(np.argmax(explained))  # first max: lowest threshold wins ties
+        gain_over = best[0] if best is not None else no_split
+        if explained[i] > gain_over + 1e-12:
+            threshold = (sorted_vals[positions[i] - 1] + sorted_vals[positions[i]]) / 2.0
+            best = (float(explained[i]), feature, float(threshold))
+    return best
+
+
+def _reference_build_tree(X, residuals, indices, depth, params):
+    n = indices.size
+    mean = float(residuals[indices].mean())
+    if depth >= params.max_depth or n < 2 * params.min_leaf:
+        return TreeNode(value=mean)
+    split = _reference_best_split(X, residuals, indices, params.min_leaf)
+    if split is None:
+        return TreeNode(value=mean)
+    _, feature, threshold = split
+    mask = X[indices, feature] <= threshold
+    left = _reference_build_tree(X, residuals, indices[mask], depth + 1, params)
+    right = _reference_build_tree(X, residuals, indices[~mask], depth + 1, params)
+    return TreeNode(feature=feature, threshold=float(threshold), left=left, right=right)
+
+
+def reference_fit_gbdt(X, y, params=GbdtParams()):
+    """Boosting with a per-node re-sort and per-row residual updates.
+
+    The straightforward builder that ``mpe.baselines.fit_gbdt`` must match
+    tree for tree: same canonical row order, split rule and tie breaks.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = X.shape[0]
+    order = np.lexsort((y,) + tuple(X[:, j] for j in range(X.shape[1] - 1, -1, -1)))
+    X = X[order]
+    y = y[order]
+
+    base = float(y.mean())
+    residuals = y - base
+    trees = []
+    indices = np.arange(n)
+    for _ in range(params.n_trees):
+        tree = _reference_build_tree(X, residuals, indices, 0, params)
+        outputs = np.array([tree.predict(row) for row in X])
+        residuals = residuals - params.learning_rate * outputs
+        trees.append(tree)
+    return GbdtModel(
+        trees=tuple(trees),
+        learning_rate=params.learning_rate,
+        max_depth=params.max_depth,
+        base_prediction=base,
+        n_features=X.shape[1],
+    )

@@ -21,11 +21,17 @@ from mpe.baselines import (
     predict_gbdt,
     predict_linear,
     save_model,
+    _tree_to_dict,
 )
 from mpe.events import DayEvents, EventRecord, FormattedEvent
 from mpe.prompts import AblationConfig, DemandFeatures, EventFeatures
 
-from oracles import best_stump_variance_gain, ols_two_points, ridge_1d
+from oracles import (
+    best_stump_variance_gain,
+    ols_two_points,
+    reference_fit_gbdt,
+    ridge_1d,
+)
 from prompt_fixtures import TARGET_DATE, build_snapshot_window
 
 
@@ -354,3 +360,110 @@ def test_model_persistence_round_trip(tmp_path):
     loaded_linear = load_model(tmp_path / "linear.json")
     for row in probe:
         assert predict_linear(loaded_linear, row) == predict_linear(linear, row)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gbdt_rejects_non_finite_features(bad):
+    X = [[0.0], [1.0], [bad], [3.0]]
+    with pytest.raises(ValueError, match="finite"):
+        fit_gbdt(X, [0.0, 1.0, 2.0, 3.0], GbdtParams(n_trees=1, min_leaf=1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_gbdt_rejects_non_finite_targets(bad):
+    X = [[0.0], [1.0], [2.0], [3.0]]
+    with pytest.raises(ValueError, match="finite"):
+        fit_gbdt(X, [0.0, bad, 2.0, 3.0], GbdtParams(n_trees=1, min_leaf=1))
+
+
+# --- presorted builder against the re-sorting reference -----------------------------
+
+
+def pipeline_shaped_matrix(n=333, seed=2021):
+    """Training rows shaped like the evaluate stage's 333 x 120 matrix.
+
+    56 lag columns slide a 28-day window over one out/in deviation series
+    (so columns are shifted copies of each other, deviations in thirds),
+    then a weekday one-hot, an event count, a 24-bin time-of-day occupancy
+    and a 32-dim hashed-text block that is zero on event-free days.
+    """
+    rng = np.random.default_rng(seed)
+    lag_days = 28
+    days = (n + lag_days, 2)
+    series = np.round(rng.normal(0, 30, size=days)) + rng.integers(0, 3, size=days) / 3
+    lags = np.stack([series[i:i + lag_days].ravel() for i in range(n)])
+    weekday = np.eye(7)[np.arange(n) % 7]
+    counts = rng.choice([0, 1, 2], size=n, p=[0.66, 0.3, 0.04])
+    bins = np.zeros((n, 24))
+    text = np.zeros((n, 32))
+    for row, count in enumerate(counts):
+        for _ in range(count):
+            start = int(rng.choice([13, 19, 20]))
+            bins[row, start:start + 4] += 1.0
+            slots = rng.integers(0, 32, size=int(rng.integers(2, 6)))
+            np.add.at(text[row], slots, 1.0)
+        if count:
+            text[row] /= text[row].sum()
+    X = np.hstack([lags, weekday, counts[:, None].astype(float), bins, text])
+    y = np.round(300 + series[lag_days:, 0] + 60 * counts + 5 * bins[:, 19] + rng.normal(0, 8, n))
+    return X, y
+
+
+def _criterion7_cases():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        n = int(rng.integers(12, 50))
+        X = rng.normal(size=(n, int(rng.integers(1, 5))))
+        y = rng.normal(size=n)
+        yield X, y, GbdtParams(
+            n_trees=25, max_depth=2,
+            learning_rate=float(rng.choice([0.05, 0.3, 1.0])), min_leaf=2,
+        )
+
+
+def _tie_heavy_cases():
+    rng = np.random.default_rng(29)
+    for i in range(30):
+        n = int(rng.integers(8, 60))
+        X = rng.integers(0, 3, size=(n, int(rng.integers(1, 6)))).astype(float)
+        y = rng.integers(0, 4, size=n).astype(float)
+        yield X, y, GbdtParams(
+            n_trees=15, max_depth=1 + i % 4, learning_rate=0.3, min_leaf=1 + (i // 4) % 4,
+        )
+
+
+def _pipeline_shaped_cases():
+    X, y = pipeline_shaped_matrix()
+    yield X, y, GbdtParams()
+
+
+@pytest.mark.parametrize("cases", [
+    _criterion7_cases, _tie_heavy_cases, _pipeline_shaped_cases,
+], ids=["criterion7_random", "tie_heavy", "pipeline_shaped"])
+def test_presorted_trees_match_reference_builder(cases):
+    for i, (X, y, params) in enumerate(cases()):
+        model = fit_gbdt(X, y, params)
+        reference = reference_fit_gbdt(X, y, params)
+        assert model.base_prediction == reference.base_prediction, f"case {i}"
+        assert [_tree_to_dict(t) for t in model.trees] == [
+            _tree_to_dict(t) for t in reference.trees
+        ], f"case {i}"
+
+
+# --- layer micro-benchmark ----------------------------------------------------------
+
+
+def pytest_generate_tests(metafunc):
+    """Time the reference builder only under --benchmark-only (about 5 s)."""
+    if "gbdt_fit" in metafunc.fixturenames:
+        fits = [fit_gbdt]
+        if metafunc.config.getoption("benchmark_only", False):
+            fits.append(reference_fit_gbdt)
+        metafunc.parametrize("gbdt_fit", fits, ids=lambda fit: fit.__name__)
+
+
+def test_gbdt_fit_benchmark(benchmark, gbdt_fit):
+    X, y = pipeline_shaped_matrix()
+    benchmark.group = "gbdt fit, 333 x 120 pipeline-shaped"
+    model = benchmark.pedantic(gbdt_fit, args=(X, y, GbdtParams()), rounds=3, iterations=1)
+    assert model.n_trees == 200

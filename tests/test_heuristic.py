@@ -1,5 +1,9 @@
 """The rule-based stand-in backend: format replies and prediction math."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from mpe.errors import MissingScriptError
@@ -92,3 +96,46 @@ def test_deterministic_replies():
     first = _predict(ablation)
     second = _predict(ablation)
     assert first == second
+
+
+class _YieldingCounterBackend(HeuristicBackend):
+    """Yields the interpreter between reading and writing ``call_count``.
+
+    That widens the read-modify-write window so that an unguarded
+    increment loses updates visibly instead of rarely.
+    """
+
+    @property
+    def call_count(self):
+        value = self._count
+        time.sleep(0)
+        return value
+
+    @call_count.setter
+    def call_count(self, value):
+        self._count = value
+
+
+def test_call_count_exact_under_concurrent_calls():
+    backend = _YieldingCounterBackend()
+    request = build_event_format_prompt(NO_DESCRIPTION_EVENT)
+    n_threads, calls_each = 8, 100
+    start = threading.Barrier(n_threads)
+
+    def worker():
+        start.wait(timeout=10)
+        for _ in range(calls_each):
+            backend.complete(request)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert backend.call_count == n_threads * calls_each
