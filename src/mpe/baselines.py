@@ -260,7 +260,14 @@ def _best_split(Xt, residuals, ids, order, min_leaf):
     if best is None:
         return None
     pos = k[at[best]]
-    return best, float((values[best, pos - 1] + values[best, pos]) / 2.0)
+    return best, _threshold(float(values[best, pos - 1]), float(values[best, pos]))
+
+
+def _threshold(a: float, b: float) -> float:
+    """The midpoint of consecutive values a < b, or a where the midpoint
+    overflows or rounds up to b and would send every row to one side."""
+    t = (a + b) / 2.0
+    return t if a <= t < b else a
 
 
 def _splittable(n, depth, params):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -34,3 +35,47 @@ def haversine_m(a: GeoPoint, b: GeoPoint) -> float:
     h = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2) ** 2
     # Clamp guards rounding slightly above 1 near antipodal points.
     return 2 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
+
+
+class BoundingBox(NamedTuple):
+    """Closed latitude/longitude ranges in degrees; infinite when unbounded."""
+
+    lat_min: float
+    lat_max: float
+    lon_min: float
+    lon_max: float
+
+    def contains(self, lat: float, lon: float) -> bool:
+        return self.lat_min <= lat <= self.lat_max and self.lon_min <= lon <= self.lon_max
+
+
+# Widening of the angular radius: far above the rounding error of
+# haversine_m, far below any radius a venue uses.
+_BOX_MARGIN_REL = 1e-6
+_BOX_MARGIN_RAD = 1e-9
+
+
+def bounding_box(center: GeoPoint, radius_m: float) -> BoundingBox:
+    """A box holding every point whose haversine_m to `center` is <= radius_m.
+
+    With angular radius d = radius_m / R, a point on the circle lies within
+    d of the center's latitude, and within asin(sin d / cos lat0) of its
+    longitude (the circle's tangent meridians). The radius is widened by a
+    small margin so rounding cannot put an in-radius point outside. The
+    longitude bound is dropped when the circle reaches a pole or the range
+    crosses +/-180 degrees, since haversine_m does not wrap longitudes.
+    """
+    d = radius_m / EARTH_RADIUS_M * (1.0 + _BOX_MARGIN_REL) + _BOX_MARGIN_RAD
+    dlat = math.degrees(d)
+    lat_min, lat_max = center.lat - dlat, center.lat + dlat
+    unbounded = BoundingBox(lat_min, lat_max, -math.inf, math.inf)
+    if lat_max >= 90.0 or lat_min <= -90.0:
+        return unbounded
+    x = math.sin(d) / math.cos(math.radians(center.lat))
+    if x >= 1.0:
+        return unbounded
+    dlon = math.degrees(math.asin(x))
+    lon_min, lon_max = center.lon - dlon, center.lon + dlon
+    if lon_min < -180.0 or lon_max > 180.0:
+        return unbounded
+    return BoundingBox(lat_min, lat_max, lon_min, lon_max)

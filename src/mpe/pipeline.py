@@ -64,7 +64,7 @@ from .gateway import (
     cache_key,
     with_cache,
 )
-from .geo import GeoPoint
+from .geo import GeoPoint, bounding_box
 from .heuristic import HeuristicBackend
 from .ioutil import atomic_write_text, atomic_writer
 from .metrics import (
@@ -100,11 +100,13 @@ from .prompts import (
 from .trips import (
     DailyDemand,
     DateRange,
+    RejectionNote,
     VenueConfig,
     aggregate_daily_demand,
     demand_index,
-    parse_trip_records,
+    iter_trip_rows,
     read_daily_demand_csv,
+    trip_record,
     write_daily_demand_csv,
 )
 
@@ -578,12 +580,28 @@ def predict_next_day(
 
 
 def _stage_ingest(config: PipelineConfig, _backend) -> dict:
+    venue = config.venue
+    box = bounding_box(venue.center, venue.radius_m)
+    rejects: list[RejectionNote] = []
+    valid = 0
+
+    def near_venue(rows):
+        # Only a row with an end inside the box can count; the exact
+        # haversine in aggregate_daily_demand decides each one that does.
+        nonlocal valid
+        for row in rows:
+            valid += 1
+            _, _, plat, plon, dlat, dlon = row
+            if box.contains(plat, plon) or box.contains(dlat, dlon):
+                yield trip_record(row)
+
     try:
         with open(config.trip_source, newline="") as fh:
-            records, rejects = parse_trip_records(fh)
+            series = aggregate_daily_demand(
+                near_venue(iter_trip_rows(fh, rejects)), venue, config.full_range
+            )
     except OSError as exc:
         raise ConfigError(f"cannot read trip source {config.trip_source}: {exc}") from exc
-    series = aggregate_daily_demand(records, config.venue, config.full_range)
     write_daily_demand_csv(series, artifact_path(config, "daily_demand"))
     reject_lines = [
         json.dumps({"row": r.row, "reason": r.reason}, sort_keys=True) for r in rejects
@@ -592,7 +610,7 @@ def _stage_ingest(config: PipelineConfig, _backend) -> dict:
         artifact_path(config, "ingest_rejects"),
         "".join(line + "\n" for line in reject_lines),
     )
-    return {"trips": len(records), "rejects": len(rejects), "days": len(series)}
+    return {"trips": valid, "rejects": len(rejects), "days": len(series)}
 
 
 def _stage_format_events(config: PipelineConfig, backend: ChatBackend) -> dict:

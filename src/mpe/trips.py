@@ -107,6 +107,10 @@ class RejectionNote(NamedTuple):
     reason: str
 
 
+# (pickup_time, dropoff_time, pickup_lat, pickup_lon, dropoff_lat, dropoff_lon)
+TripRow = tuple[datetime, datetime, float, float, float, float]
+
+
 def _parse_timestamp(raw: str) -> datetime:
     ts = datetime.fromisoformat(raw.strip())
     if ts.tzinfo is not None:
@@ -114,47 +118,59 @@ def _parse_timestamp(raw: str) -> datetime:
     return ts
 
 
-def parse_trip_records(
+def iter_trip_rows(
     source: TextIO | Iterable[str],
-) -> tuple[list[TripRecord], list[RejectionNote]]:
-    """Parse the trip CSV, keeping input order and reporting bad rows.
+    rejects: list[RejectionNote],
+) -> Iterator[TripRow]:
+    """Validate the trip CSV row by row, in input order.
 
-    Well-formed rows become TripRecords; malformed rows are skipped and
-    reported with their 1-based data-row number and a reason. A header
-    missing any required column is fatal.
+    Yields each well-formed row as a plain tuple and appends a
+    RejectionNote with its 1-based data-row number and a reason to
+    `rejects` for each malformed one. Blank lines are skipped and not
+    numbered; a short row reads its missing fields as empty; when a column
+    name repeats, its last occurrence is used. A header missing any
+    required column is fatal (SchemaError, raised on first iteration).
     """
-    reader = csv.DictReader(source)
-    header = reader.fieldnames
+    reader = csv.reader(source)
+    header = next(reader, None)
     if header is None:
         raise SchemaError("trip CSV has no header row")
     missing = [c for c in REQUIRED_COLUMNS if c not in header]
     if missing:
         raise SchemaError(f"trip CSV header missing columns: {', '.join(missing)}")
+    index = {name: i for i, name in enumerate(header)}
+    ipt, idt, iplon, iplat, idlon, idlat = (index[c] for c in REQUIRED_COLUMNS)
+    width = max(ipt, idt, iplon, iplat, idlon, idlat) + 1
 
-    records: list[TripRecord] = []
-    rejects: list[RejectionNote] = []
-    for i, row in enumerate(reader, start=1):
+    i = 0
+    for row in reader:
+        if not row:
+            continue
+        i += 1
+        if len(row) < width:
+            row += [None] * (width - len(row))
         try:
-            pickup_time = _parse_timestamp(row["pickup_datetime"] or "")
-            dropoff_time = _parse_timestamp(row["dropoff_datetime"] or "")
+            pickup_time = _parse_timestamp(row[ipt] or "")
+            dropoff_time = _parse_timestamp(row[idt] or "")
         except (ValueError, TypeError):
             rejects.append(RejectionNote(i, "bad timestamp"))
             continue
         try:
-            plon = float(row["pickup_longitude"])
-            plat = float(row["pickup_latitude"])
-            dlon = float(row["dropoff_longitude"])
-            dlat = float(row["dropoff_latitude"])
+            plon = float(row[iplon])
+            plat = float(row[iplat])
+            dlon = float(row[idlon])
+            dlat = float(row[idlat])
         except (ValueError, TypeError):
             rejects.append(RejectionNote(i, "bad coordinate"))
             continue
-        if (plat, plon) == (0.0, 0.0) or (dlat, dlon) == (0.0, 0.0):
+        if (plat == 0.0 and plon == 0.0) or (dlat == 0.0 and dlon == 0.0):
             rejects.append(RejectionNote(i, "null-island sentinel"))
             continue
-        try:
-            pickup_point = GeoPoint(plat, plon)
-            dropoff_point = GeoPoint(dlat, dlon)
-        except ValueError:
+        # GeoPoint's ranges, checked without building two per row.
+        if not (
+            -90.0 <= plat <= 90.0 and -180.0 <= plon <= 180.0
+            and -90.0 <= dlat <= 90.0 and -180.0 <= dlon <= 180.0
+        ):
             rejects.append(RejectionNote(i, "coordinate out of range"))
             continue
         if dropoff_time < pickup_time:
@@ -163,12 +179,25 @@ def parse_trip_records(
         if dropoff_time - pickup_time > MAX_TRIP_DURATION:
             rejects.append(RejectionNote(i, "trip longer than 12 hours"))
             continue
-        records.append(TripRecord(pickup_time, dropoff_time, pickup_point, dropoff_point))
+        yield pickup_time, dropoff_time, plat, plon, dlat, dlon
+
+
+def trip_record(row: TripRow) -> TripRecord:
+    pickup_time, dropoff_time, plat, plon, dlat, dlon = row
+    return TripRecord(pickup_time, dropoff_time, GeoPoint(plat, plon), GeoPoint(dlat, dlon))
+
+
+def parse_trip_records(
+    source: TextIO | Iterable[str],
+) -> tuple[list[TripRecord], list[RejectionNote]]:
+    """Parse the whole trip CSV into TripRecords (see iter_trip_rows)."""
+    rejects: list[RejectionNote] = []
+    records = [trip_record(row) for row in iter_trip_rows(source, rejects)]
     return records, rejects
 
 
 def aggregate_daily_demand(
-    trips: Sequence[TripRecord],
+    trips: Iterable[TripRecord],
     venue: VenueConfig,
     date_range: DateRange,
 ) -> list[DailyDemand]:

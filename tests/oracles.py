@@ -3,19 +3,24 @@
 Everything here is deliberately written on a different path from the code
 under test: pure-python loops instead of numpy, the atan2 great-circle
 formulation instead of asin, a hand-rolled canonical serializer, a direct
-per-trip counting loop, and a tree builder that re-sorts every column at
-every node. Keep it that way; these are the oracles.
+per-trip counting loop, a trip parser over dict rows, and a tree builder
+that re-sorts every column at every node. Keep it that way; these are the
+oracles.
 """
 
+import csv
 import json
 import math
 import re
 from collections import defaultdict
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 
 import numpy as np
 
 from mpe.baselines import GbdtModel, GbdtParams, TreeNode
+from mpe.errors import SchemaError
+from mpe.geo import GeoPoint
+from mpe.trips import REQUIRED_COLUMNS, RejectionNote, TripRecord
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -28,6 +33,18 @@ def haversine_atan2(lat1, lon1, lat2, lon2):
     dl = math.radians(lon2 - lon1)
     a = math.sin(dp / 2) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2) ** 2
     return EARTH_RADIUS_M * 2 * math.atan2(math.sqrt(a), math.sqrt(1 - a))
+
+
+def destination_point(lat, lon, bearing, dist_m):
+    """(lat, lon) reached from (lat, lon) along `bearing` (radians from north)
+    after `dist_m` on the sphere, longitude wrapped into [-180, 180)."""
+    p1 = math.radians(lat)
+    d = dist_m / EARTH_RADIUS_M
+    p2 = math.asin(math.sin(p1) * math.cos(d) + math.cos(p1) * math.sin(d) * math.cos(bearing))
+    dl = math.atan2(
+        math.sin(bearing) * math.sin(d) * math.cos(p1), math.cos(d) - math.sin(p1) * math.sin(p2)
+    )
+    return math.degrees(p2), (lon + math.degrees(dl) + 180.0) % 360.0 - 180.0
 
 
 def brute_force_daily_counts(trips, center_lat, center_lon, radius_m, start, end):
@@ -49,6 +66,64 @@ def brute_force_daily_counts(trips, center_lat, center_lon, radius_m, start, end
         if dd in counts and haversine_atan2(dlat, dlon, center_lat, center_lon) <= radius_m:
             counts[dd][1] += 1
     return counts
+
+
+def _reference_parse_timestamp(raw):
+    ts = datetime.fromisoformat(raw.strip())
+    if ts.tzinfo is not None:
+        raise ValueError("timestamps must be naive venue-local")
+    return ts
+
+
+def reference_parse_trip_records(source):
+    """The trip CSV parser over ``csv.DictReader`` rows, checking each row
+    in turn and building every TripRecord through GeoPoint validation.
+
+    ``mpe.trips.iter_trip_rows`` reads plain ``csv.reader`` rows by column
+    index instead and must give the same records and rejects.
+    """
+    reader = csv.DictReader(source)
+    header = reader.fieldnames
+    if header is None:
+        raise SchemaError("trip CSV has no header row")
+    missing = [c for c in REQUIRED_COLUMNS if c not in header]
+    if missing:
+        raise SchemaError(f"trip CSV header missing columns: {', '.join(missing)}")
+
+    records = []
+    rejects = []
+    for i, row in enumerate(reader, start=1):
+        try:
+            pickup_time = _reference_parse_timestamp(row["pickup_datetime"] or "")
+            dropoff_time = _reference_parse_timestamp(row["dropoff_datetime"] or "")
+        except (ValueError, TypeError):
+            rejects.append(RejectionNote(i, "bad timestamp"))
+            continue
+        try:
+            plon = float(row["pickup_longitude"])
+            plat = float(row["pickup_latitude"])
+            dlon = float(row["dropoff_longitude"])
+            dlat = float(row["dropoff_latitude"])
+        except (ValueError, TypeError):
+            rejects.append(RejectionNote(i, "bad coordinate"))
+            continue
+        if (plat, plon) == (0.0, 0.0) or (dlat, dlon) == (0.0, 0.0):
+            rejects.append(RejectionNote(i, "null-island sentinel"))
+            continue
+        try:
+            pickup_point = GeoPoint(plat, plon)
+            dropoff_point = GeoPoint(dlat, dlon)
+        except ValueError:
+            rejects.append(RejectionNote(i, "coordinate out of range"))
+            continue
+        if dropoff_time < pickup_time:
+            rejects.append(RejectionNote(i, "dropoff before pickup"))
+            continue
+        if dropoff_time - pickup_time > timedelta(hours=12):
+            rejects.append(RejectionNote(i, "trip longer than 12 hours"))
+            continue
+        records.append(TripRecord(pickup_time, dropoff_time, pickup_point, dropoff_point))
+    return records, rejects
 
 
 def metrics_brute_force(y_true, y_pred):
@@ -231,8 +306,12 @@ def _reference_best_split(X, residuals, indices, min_leaf):
         i = int(np.argmax(explained))  # first max: lowest threshold wins ties
         gain_over = best[0] if best is not None else no_split
         if explained[i] > gain_over + 1e-12:
-            threshold = (sorted_vals[positions[i] - 1] + sorted_vals[positions[i]]) / 2.0
-            best = (float(explained[i]), feature, float(threshold))
+            a = float(sorted_vals[positions[i] - 1])
+            b = float(sorted_vals[positions[i]])
+            threshold = (a + b) / 2.0
+            if not a <= threshold < b:  # overflowed, or rounded up to b
+                threshold = a
+            best = (float(explained[i]), feature, threshold)
     return best
 
 

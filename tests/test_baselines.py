@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from datetime import date, time
 
 import numpy as np
@@ -246,6 +247,31 @@ def test_step_data_stump_splits_at_midpoint():
     assert tree.threshold == oracle[1] == 0.0
     assert predict_gbdt(model, [5.0]) == pytest.approx(10.0)
     assert predict_gbdt(model, [-5.0]) == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize(
+    "column, left_max",
+    [
+        ([1.0e308, 1.2e308, 1.6e308, 1.7e308], 1.2e308),  # a + b overflows to inf
+        ([-1.7e308, -1.6e308, -1.2e308, -1.0e308], -1.6e308),  # ... to -inf
+        # adjacent doubles, odd mantissa below: (a + b) / 2 rounds up to b
+        ([1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0), 2.0],
+         float(np.nextafter(1.0, 2.0))),
+    ],
+    ids=["overflow", "negative_overflow", "adjacent_floats"],
+)
+def test_stump_threshold_separates_extreme_values(column, left_max):
+    X = [[v] for v in column]
+    y = [0.0, 0.0, 1.0, 1.0]
+    params = GbdtParams(n_trees=1, max_depth=1, learning_rate=1.0, min_leaf=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = fit_gbdt(X, y, params)
+        reference = reference_fit_gbdt(X, y, params)
+    (tree,) = model.trees
+    assert tree.threshold == left_max
+    assert (tree.left.value, tree.right.value) == (-0.5, 0.5)
+    assert _tree_to_dict(tree) == _tree_to_dict(reference.trees[0])
 
 
 def test_stump_matches_oracle_on_random_data():

@@ -4,10 +4,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mpe.geo import EARTH_RADIUS_M, GeoPoint, haversine_m
+from mpe.geo import EARTH_RADIUS_M, GeoPoint, bounding_box, haversine_m
 
-from oracles import haversine_atan2
+from oracles import destination_point, haversine_atan2
 
 BARCLAYS = GeoPoint(40.68265, -73.97469)
 BARCLAYS_EAST = GeoPoint(40.68265, -73.97209)
@@ -68,3 +70,60 @@ def test_out_of_range_construction_fails():
         GeoPoint(0.0, -180.5)
     with pytest.raises(ValueError):
         GeoPoint(-90.0001, 10.0)
+
+
+# --- the venue bounding box ----------------------------------------------------------
+
+_LATS = st.one_of(st.floats(-89.9, 89.9), st.sampled_from([-89.9, -60.0, 0.0, 45.0, 89.9]))
+_LONS = st.one_of(st.floats(-179.9, 179.9), st.sampled_from([-179.9, 0.0, 179.9]))
+_LOG_RADII = st.one_of(st.floats(0.0, math.log10(2e7)), st.sampled_from([0.0, math.log10(2e7)]))
+# Bearings toward the circle's extreme latitudes and tangent meridians, and
+# distances at or just inside the radius, are where rounding could matter.
+_BEARINGS = st.one_of(st.floats(0.0, 2 * math.pi), st.sampled_from([0.0, 0.5, 1.0, 1.5]).map(
+    lambda turns: turns * math.pi))
+_FRACTIONS = st.one_of(st.floats(0.0, 1.0), st.floats(1.0 - 1e-9, 1.0 + 1e-12))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_LATS, _LONS, _LOG_RADII, _BEARINGS, _FRACTIONS)
+def test_bounding_box_holds_every_point_within_radius(lat, lon, log_r, bearing, frac):
+    center = GeoPoint(lat, lon)
+    radius = 10.0 ** log_r
+    box = bounding_box(center, radius)
+    plat, plon = destination_point(lat, lon, bearing, radius * frac)
+    if haversine_m(GeoPoint(plat, plon), center) <= radius:
+        assert box.contains(plat, plon)
+
+
+def test_bounding_box_holds_circle_edges_on_a_dense_sweep():
+    rng = random.Random(2718)
+    inside = 0
+    for _ in range(20_000):
+        lat = rng.choice([rng.uniform(-89.9, 89.9), rng.choice([-89.9, 0.0, 89.9])])
+        lon = rng.choice([rng.uniform(-179.9, 179.9), -179.9, 179.9])
+        radius = 10.0 ** rng.uniform(0.0, math.log10(2e7))
+        center = GeoPoint(lat, lon)
+        box = bounding_box(center, radius)
+        bearing = rng.choice([0.0, 0.5, 1.0, 1.5]) * math.pi + rng.uniform(-1e-6, 1e-6)
+        plat, plon = destination_point(lat, lon, bearing, radius)
+        if haversine_m(GeoPoint(plat, plon), center) <= radius:
+            inside += 1
+            assert box.contains(plat, plon), (lat, lon, radius, plat, plon, box)
+    assert inside > 5_000
+
+
+def test_bounding_box_is_tight_at_venue_scale():
+    box = bounding_box(BARCLAYS, 220.0)
+    assert box.lat_max - box.lat_min == pytest.approx(2 * 220.0 / 111_195.0, rel=1e-4)
+    west, east = GeoPoint(BARCLAYS.lat, box.lon_min), GeoPoint(BARCLAYS.lat, box.lon_max)
+    assert haversine_m(west, east) == pytest.approx(440.0, rel=1e-3)
+    assert not box.contains(BARCLAYS.lat, BARCLAYS.lon + 0.01)
+    assert not box.contains(BARCLAYS.lat + 0.01, BARCLAYS.lon)
+
+
+@pytest.mark.parametrize("center", [GeoPoint(89.999, 10.0), GeoPoint(-16.5, 179.999),
+                                    GeoPoint(0.0, -179.9999)])
+def test_bounding_box_drops_longitude_bound_at_pole_or_antimeridian(center):
+    box = bounding_box(center, 500.0)
+    assert (box.lon_min, box.lon_max) == (-math.inf, math.inf)
+    assert box.lat_min < center.lat < box.lat_max

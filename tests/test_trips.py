@@ -1,14 +1,22 @@
 """Trip CSV parsing and daily aggregation against brute-force counts."""
 
 import io
+import json
+import math
 import random
+import shutil
+import tracemalloc
 from datetime import date, datetime, timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpe.errors import SchemaError
 from mpe.geo import GeoPoint
+from mpe.pipeline import PipelineConfig, artifact_path, run_stage
 from mpe.trips import (
+    REQUIRED_COLUMNS,
     DailyDemand,
     DateRange,
     TripRecord,
@@ -20,7 +28,11 @@ from mpe.trips import (
     write_daily_demand_csv,
 )
 
-from oracles import brute_force_daily_counts
+from oracles import (
+    brute_force_daily_counts,
+    destination_point,
+    reference_parse_trip_records,
+)
 
 HEADER = (
     "pickup_datetime,dropoff_datetime,pickup_longitude,pickup_latitude,"
@@ -247,3 +259,259 @@ def test_venue_config_validation():
         VenueConfig("x", GeoPoint(0, 1), radius_m=0.0)
     with pytest.raises(Exception):
         VenueConfig("x", GeoPoint(0, 1), timezone="Mars/Olympus")
+
+
+# --- parser equivalence with the DictReader reference ----------------------------
+
+
+def _outcome(parser, text):
+    try:
+        return parser(io.StringIO(text, newline=""))
+    except SchemaError as exc:
+        return "SchemaError", str(exc)
+
+
+def assert_matches_reference(text):
+    expected = _outcome(reference_parse_trip_records, text)
+    assert _outcome(parse_trip_records, text) == expected
+    return expected
+
+
+GOOD = "2014-07-25 19:05:00,2014-07-25 19:30:00,-73.975,40.683,-73.990,40.750"
+EQUIVALENCE_CASES = {
+    "empty_file": "",
+    "blank_header_line": "\n" + HEADER + GOOD + "\n",
+    "blank_lines_not_numbered": HEADER + GOOD + "\n\n" + "bogus\n\n\n" + GOOD + "\n\n"
+    + "2014-07-25 19:05:00,2014-07-25 19:30:00,x,40.683,-73.990,40.750\n",
+    "whitespace_line": HEADER + " \n" + GOOD + "\n",
+    "short_rows": HEADER + "2014-07-25 19:05:00\n"
+    + "2014-07-25 19:05:00,2014-07-25 19:30:00,-73.975\n"
+    + "2014-07-25 19:05:00,2014-07-25 19:30:00,-73.975,40.683,-73.990\n" + GOOD + "\n",
+    "extra_trailing_fields": HEADER + GOOD + ",7,extra,,\n" + GOOD + ",\n",
+    "duplicate_header_last_wins": HEADER.rstrip("\n") + ",pickup_latitude\n"
+    + GOOD + ",95.0\n" + GOOD + ",40.69\n" + GOOD + "\n",
+    "duplicate_required_column_first": "pickup_latitude," + HEADER
+    + "95.0," + GOOD + "\n" + "x," + GOOD + "\n",
+    "reordered_and_extra_columns": "vendor,dropoff_latitude,pickup_latitude,"
+    "dropoff_datetime,fare,pickup_longitude,dropoff_longitude,pickup_datetime\n"
+    "CMT,40.750,40.683,2014-07-25 19:30:00,9.5,-73.975,-73.990,2014-07-25 19:05:00\n"
+    "VTS,40.750,40.683,2014-07-25 19:30:00,,-73.975,-73.990,2014-07-25 20:05:00\n",
+    "special_floats": HEADER
+    + "2014-07-25 19:05:00,2014-07-25 19:30:00,nan,40.683,-73.990,40.750\n"
+    + "2014-07-25 19:05:00,2014-07-25 19:30:00,-73.975,inf,-73.990,40.750\n"
+    + "2014-07-25 19:05:00,2014-07-25 19:30:00,-73.975,-Infinity,-73.990,40.750\n"
+    + "2014-07-25 19:05:00,2014-07-25 19:30:00, -73.975 , 40.7 ,-73.990,40.750\n"
+    + "2014-07-25 19:05:00,2014-07-25 19:30:00,-0.0,0,-73.990,40.750\n"
+    + "2014-07-25 19:05:00,2014-07-25 19:30:00,1e1,-90,180,90.0\n"
+    + "2014-07-25 19:05:00,2014-07-25 19:30:00,-180.0000001,40.683,-73.990,40.750\n",
+    "iso_timestamp_variants": HEADER + "".join(
+        f"{a},{b},-73.975,40.683,-73.990,40.750\n"
+        for a, b in [
+            ("2014-07-25T19:05:00", "2014-07-25T19:30"),
+            ("2014-07-25 19:05", "2014-07-25 19:30:00.250000"),
+            ("2014-07-25", "2014-07-25 11:59:59"),
+            ("2014-07-25", "2014-07-25 12:00:01"),
+            ("20140725T190500", " 2014-07-25 19:30:00 "),
+            ("2014-07-25 19:05:00+00:00", "2014-07-25 19:30:00"),
+            ("2014-07-25 19:05:00", "2014-07-25 19:30:00Z"),
+            ("2014-07-25 24:00:00", "2014-07-26 01:00:00"),
+            ("", "2014-07-25 19:30:00"),
+        ]
+    ),
+    "crlf_file": (HEADER + GOOD + "\n\n" + "bogus\n" + GOOD + "\n").replace("\n", "\r\n"),
+}
+
+
+@pytest.mark.parametrize("text", EQUIVALENCE_CASES.values(), ids=EQUIVALENCE_CASES.keys())
+def test_parser_matches_dictreader_reference(text):
+    assert_matches_reference(text)
+
+
+def test_reference_cases_exercise_every_outcome():
+    outcomes = [assert_matches_reference(t) for t in EQUIVALENCE_CASES.values()]
+    reasons = {r.reason for o in outcomes if o[0] != "SchemaError" for r in o[1]}
+    assert reasons == {
+        "bad timestamp", "bad coordinate", "null-island sentinel", "coordinate out of range",
+        "dropoff before pickup", "trip longer than 12 hours",
+    }
+    assert sum(o[0] == "SchemaError" for o in outcomes) == 2
+    assert sum(len(o[0]) for o in outcomes if o[0] != "SchemaError") >= 15
+
+
+def test_crlf_file_matches_reference(tmp_path):
+    path = tmp_path / "trips.csv"
+    path.write_bytes(EQUIVALENCE_CASES["crlf_file"].encode())
+    with open(path, newline="") as fh:
+        got = parse_trip_records(fh)
+    with open(path, newline="") as fh:
+        assert got == reference_parse_trip_records(fh)
+    assert [(r.row, r.reason) for r in got[1]] == [(2, "bad timestamp")]
+
+
+_FIELDS = st.sampled_from([
+    "2014-07-25 19:05:00", "2014-07-25 19:30:00", "2014-07-26 08:00:00",
+    "2014-07-25T19:05", " 2014-07-25 19:05:00 ", "2014-07-25 19:05:00+01:00", "bogus",
+    "", " ", "40.683", "-73.975", " 40.7 ", "0", "-0.0", "nan", "inf", "-inf", "95",
+    "-181", "180", "1e-3",
+])
+_COLUMNS = st.lists(
+    st.sampled_from(REQUIRED_COLUMNS + ("vendor", "fare")), min_size=0, max_size=4
+)
+
+
+@st.composite
+def _trip_csv(draw):
+    header = list(draw(st.permutations(REQUIRED_COLUMNS)))
+    for extra in draw(_COLUMNS):
+        header.insert(draw(st.integers(0, len(header))), extra)
+    if draw(st.booleans()):
+        header.remove(draw(st.sampled_from(header)))  # sometimes a column goes missing
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+            continue
+        width = len(header) + draw(st.integers(-3, 2))
+        lines.append(",".join(draw(_FIELDS) for _ in range(max(width, 1))))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + eol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trip_csv())
+def test_parser_matches_reference_on_generated_files(text):
+    assert_matches_reference(text)
+
+
+# --- the ingest stage -------------------------------------------------------------
+
+INGEST_RANGE = DateRange(date(2014, 7, 1), date(2014, 7, 14))
+
+
+def _ingest_config(tmp_path, venue):
+    return PipelineConfig(
+        venue=venue,
+        trip_source=tmp_path / "trips.csv",
+        event_source=tmp_path / "events.json",
+        train_range=DateRange(INGEST_RANGE.start, date(2014, 7, 10)),
+        test_range=DateRange(date(2014, 7, 11), INGEST_RANGE.end),
+        output_dir=tmp_path / "out",
+        backend_kind="heuristic",
+    )
+
+
+def _write_trips(path, venue, n, seed, near_share):
+    """n trips in INGEST_RANGE; near_share of the ends lie within 1.3 radii of
+    the venue, the rest 2-20 km out; about 1% of rows are malformed."""
+    rng = random.Random(seed)
+    with open(path, "w", newline="") as fh:
+        fh.write(HEADER)
+        for _ in range(n):
+            pickup = datetime(2014, 7, 1) + timedelta(minutes=rng.randrange(14 * 1440 - 60))
+            dropoff = pickup + timedelta(minutes=rng.randrange(1, 60))
+            ends = []
+            for _ in range(2):
+                near = rng.random() < near_share
+                dist = venue.radius_m * rng.uniform(0, 1.3) if near else rng.uniform(2e3, 2e4)
+                ends.append(destination_point(
+                    venue.center.lat, venue.center.lon, rng.uniform(0, 2 * math.pi), dist
+                ))
+            (plat, plon), (dlat, dlon) = ends
+            if rng.random() < 0.01:
+                plat = rng.choice([95.0, 0.0, float("nan")])
+            fh.write(f"{pickup},{dropoff},{plon!r},{plat!r},{dlon!r},{dlat!r}\r\n")
+
+
+def _reference_ingest(path, venue):
+    with open(path, newline="") as fh:
+        records, rejects = reference_parse_trip_records(fh)
+    raw = [(t.pickup_time, t.dropoff_time, t.pickup_point.lat, t.pickup_point.lon,
+            t.dropoff_point.lat, t.dropoff_point.lon) for t in records]
+    counts = brute_force_daily_counts(
+        raw, venue.center.lat, venue.center.lon, venue.radius_m,
+        INGEST_RANGE.start, INGEST_RANGE.end,
+    )
+    return len(records), rejects, counts
+
+
+def _assert_stage_matches_reference(tmp_path, venue):
+    config = _ingest_config(tmp_path, venue)
+    result = run_stage("ingest", config)
+    n_valid, rejects, counts = _reference_ingest(config.trip_source, venue)
+    assert result.stats == {"trips": n_valid, "rejects": len(rejects), "days": 14}
+    series = read_daily_demand_csv(artifact_path(config, "daily_demand"))
+    assert {d.date: [d.outflow, d.inflow] for d in series} == counts
+    lines = artifact_path(config, "ingest_rejects").read_text().splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"row": r.row, "reason": r.reason} for r in rejects
+    ]
+    return counts
+
+
+def test_ingest_stage_matches_reference_parse_and_brute_force(tmp_path):
+    _write_trips(tmp_path / "trips.csv", VENUE, 3000, seed=5, near_share=0.3)
+    counts = _assert_stage_matches_reference(tmp_path, VENUE)
+    assert sum(c[0] + c[1] for c in counts.values()) > 500
+
+
+def test_antimeridian_venue_counts_trips_across_180(tmp_path):
+    venue = VenueConfig("Date Line Dome", GeoPoint(-16.5, 179.999), 500.0, "Pacific/Fiji")
+    _write_trips(tmp_path / "trips.csv", venue, 400, seed=6, near_share=0.5)
+    text = (tmp_path / "trips.csv").read_text()
+    assert ",-179.99" in text  # some ends lie past the antimeridian
+    counts = _assert_stage_matches_reference(tmp_path, venue)
+    assert sum(c[0] + c[1] for c in counts.values()) > 100
+
+
+def _ingest_peak_bytes(tmp_path, n):
+    tmp_path.mkdir()
+    _write_trips(tmp_path / "trips.csv", VENUE, n, seed=n, near_share=0.02)
+    config = _ingest_config(tmp_path, VENUE)
+    tracemalloc.start()
+    try:
+        run_stage("ingest", config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ingest_memory_does_not_grow_with_rows(tmp_path):
+    small = _ingest_peak_bytes(tmp_path / "n", 10_000)
+    large = _ingest_peak_bytes(tmp_path / "4n", 40_000)
+    assert large < 1.5 * small, (small, large)
+
+
+# --- layer micro-benchmark ----------------------------------------------------------
+
+
+def ingest_stage(config):
+    return run_stage("ingest", config).stats["trips"]
+
+
+def reference_parse_and_aggregate(config):
+    with open(config.trip_source, newline="") as fh:
+        records, _ = reference_parse_trip_records(fh)
+    aggregate_daily_demand(records, config.venue, config.full_range)
+    return len(records)
+
+
+def pytest_generate_tests(metafunc):
+    """Time the reference parser only under --benchmark-only."""
+    if "ingest_run" in metafunc.fixturenames:
+        runs = [ingest_stage]
+        if metafunc.config.getoption("benchmark_only", False):
+            runs.append(reference_parse_and_aggregate)
+        metafunc.parametrize("ingest_run", runs, ids=lambda run: run.__name__)
+
+
+def test_ingest_benchmark(benchmark, ingest_run, tmp_path):
+    _write_trips(tmp_path / "trips.csv", VENUE, 50_000, seed=50, near_share=0.05)
+    config = _ingest_config(tmp_path, VENUE)
+
+    def fresh_output():  # so no round is skipped as up to date
+        shutil.rmtree(config.output_dir, ignore_errors=True)
+        return (config,), {}
+
+    benchmark.group = "ingest, 50k decoy-heavy rows"
+    trips = benchmark.pedantic(ingest_run, setup=fresh_output, rounds=3, iterations=1)
+    assert 49_000 < trips < 50_000
