@@ -36,7 +36,6 @@ from .gateway import (
     HttpBackend,
     ScriptedBackend,
     cache_key,
-    with_cache,
 )
 from .geo import GeoPoint, haversine_m
 from .metrics import (

@@ -12,12 +12,11 @@ import sys
 from datetime import date
 from pathlib import Path
 
+from .config import BACKEND_KINDS, PipelineConfig
 from .errors import MpeError
 from .pipeline import (
-    BACKEND_KINDS,
     DEFAULT_RUN_STAGES,
     STAGES,
-    PipelineConfig,
     plan_stage,
     run_pipeline,
     run_stage,

@@ -129,9 +129,6 @@ class ChatBackend:
     def complete(self, request: ChatRequest) -> ChatResponse:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return type(self).__name__
-
 
 class HttpBackend(ChatBackend):
     """Live backend speaking the POST /v1/chat/completions protocol.
@@ -148,9 +145,6 @@ class HttpBackend(ChatBackend):
                 f"no API key: set {API_KEY_ENV} or BackendConfig.api_key"
             )
         self._url = config.base_url.rstrip("/") + "/v1/chat/completions"
-
-    def describe(self) -> str:
-        return f"http:{self.config.base_url}"
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         headers = {
@@ -244,9 +238,6 @@ class ScriptedBackend(ChatBackend):
             raise ConfigError(f"mock script {path} must map strings to reply strings")
         return cls(doc)
 
-    def describe(self) -> str:
-        return f"mock:{len(self.script)} entries"
-
     def complete(self, request: ChatRequest) -> ChatResponse:
         with self._lock:
             self.call_count += 1
@@ -299,9 +290,6 @@ class CachingBackend(ChatBackend):
         self.misses = 0
         self._lock = threading.Lock()
 
-    def describe(self) -> str:
-        return f"cache({self.inner.describe()})"
-
     def _path(self, digest: str) -> Path:
         return self.store / "sha256" / digest[:2] / f"{digest}.json"
 
@@ -352,8 +340,3 @@ class CachingBackend(ChatBackend):
         }
         with atomic_writer(path) as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
-
-
-def with_cache(inner: ChatBackend, store: Path | str) -> CachingBackend:
-    """Wrap a backend with the content-addressed response cache."""
-    return CachingBackend(inner, store)

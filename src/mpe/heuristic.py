@@ -92,9 +92,6 @@ class HeuristicBackend(ChatBackend):
         self.call_count = 0
         self._lock = threading.Lock()
 
-    def describe(self) -> str:
-        return "heuristic"
-
     def complete(self, request: ChatRequest) -> ChatResponse:
         with self._lock:
             self.call_count += 1

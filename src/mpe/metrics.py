@@ -150,6 +150,7 @@ def segment_report(
 class AblationRow(NamedTuple):
     """One grid entry; report is None when the config is not applicable."""
 
+    model_name: str
     ablation: AblationConfig
     report: MetricsReport | None
 
@@ -185,9 +186,10 @@ def run_ablation(
                 f"ablation runner failed at {config.name}: {exc}", ablation=config
             ) from exc
         if records is None:
-            rows.append(AblationRow(config, None))
+            rows.append(AblationRow(model_name, config, None))
         else:
-            rows.append(AblationRow(config, segment_report(records, calendar, model_name, config)))
+            report = segment_report(records, calendar, model_name, config)
+            rows.append(AblationRow(model_name, config, report))
     return rows
 
 
@@ -221,25 +223,29 @@ def _report_rows(report: MetricsReport):
         ]
 
 
-def write_report_csv(
-    reports: Sequence[MetricsReport | AblationRow],
-    path,
-    absent_model_name: str = "",
-) -> None:
-    """Report CSV; not-applicable ablation rows keep empty metric cells."""
+def write_report_csv(reports: Sequence[MetricsReport], path) -> None:
+    """Report CSV: every segment of each report, per-flow rows included."""
     with atomic_writer(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
-        for entry in reports:
-            if isinstance(entry, AblationRow):
-                if entry.report is None:
-                    writer.writerow(
-                        [absent_model_name, entry.ablation.name, "all", "", "", "", "", ""]
-                    )
-                    continue
-                entry = entry.report
-            for row in _report_rows(entry):
-                writer.writerow(row)
+        for report in reports:
+            writer.writerows(_report_rows(report))
+
+
+ABLATION_SEGMENTS = ("all", "event", "non_event")
+
+
+def write_ablation_csv(rows: Sequence[AblationRow], path) -> None:
+    """Ablation CSV: the pooled segments of each grid entry; a not-applicable
+    entry is one `all` row with empty metric cells."""
+    with atomic_writer(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(REPORT_COLUMNS)
+        for row in rows:
+            if row.report is None:
+                writer.writerow([row.model_name, row.ablation.name, "all", "", "", "", "", ""])
+                continue
+            writer.writerows(r for r in _report_rows(row.report) if r[2] in ABLATION_SEGMENTS)
 
 
 def write_plot_csv(

@@ -1,11 +1,11 @@
 """Stage-oriented orchestration: ingest -> format_events -> decompose ->
 predict -> evaluate -> ablate -> report.
 
-Each stage reads declared inputs, writes declared outputs under the output
-directory, and records digests in manifest.json; re-running a stage whose
-inputs and outputs are unchanged is a no-op. Predictions are one-step-ahead
-over the test range from true observed history, never from the model's own
-prior outputs.
+Each stage declares the config fields it reads, the files it reads and the
+files it writes (`_STAGE_DEFS`), and records digests of exactly those in
+manifest.json; a stage whose declared inputs and outputs are unchanged is
+skipped. Predictions are one-step-ahead over the test range from true
+observed history, never from the model's own prior outputs.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ import concurrent.futures
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .baselines import (
     FeaturizerConfig,
-    GbdtParams,
     fit_gbdt,
     fit_linear,
     featurize_day,
@@ -29,10 +28,9 @@ from .baselines import (
     predict_linear,
     save_model,
 )
+from .config import LLM_MODEL_NAME, PipelineConfig, encode
 from .decomposition import (
-    BaselineConfig,
     DemandDecomposition,
-    Fallback,
     Flows,
     decompose,
     read_decomposition_csv,
@@ -54,7 +52,6 @@ from .events import (
     parse_event_records,
 )
 from .gateway import (
-    BackendConfig,
     CachingBackend,
     ChatBackend,
     ChatMessage,
@@ -62,9 +59,8 @@ from .gateway import (
     HttpBackend,
     ScriptedBackend,
     cache_key,
-    with_cache,
 )
-from .geo import GeoPoint, bounding_box
+from .geo import bounding_box
 from .heuristic import HeuristicBackend
 from .ioutil import atomic_write_text, atomic_writer
 from .metrics import (
@@ -73,6 +69,7 @@ from .metrics import (
     canonical_grid,
     run_ablation,
     segment_report,
+    write_ablation_csv,
     write_plot_csv,
     write_report_csv,
 )
@@ -85,7 +82,6 @@ from .parsing import (
 from .prompts import (
     AblationConfig,
     DayContext,
-    DEFAULT_TEMPLATES,
     DemandFeatures,
     EventFeatures,
     HistoryWindow,
@@ -94,14 +90,12 @@ from .prompts import (
     REPLY_FORM_PREDICTION,
     build_event_format_prompt,
     build_prediction_prompt,
-    load_templates,
     round_half_up,
 )
 from .trips import (
     DailyDemand,
     DateRange,
     RejectionNote,
-    VenueConfig,
     aggregate_daily_demand,
     demand_index,
     iter_trip_rows,
@@ -111,203 +105,10 @@ from .trips import (
 )
 
 STAGES = ("ingest", "format_events", "decompose", "predict", "evaluate", "ablate", "report")
-BACKEND_KINDS = ("live", "mock", "cache", "heuristic")
-LLM_MODEL_NAME = "llm"
+CLASSICAL_MODELS = ("historical_average", "linear", "gbdt")
 
 PREDICTION_REMINDER = f"Reminder: reply in exactly this form: {REPLY_FORM_PREDICTION}"
 EVENT_REMINDER = f"Reminder: reply in exactly this form: {REPLY_FORM_EVENT}"
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    venue: VenueConfig
-    trip_source: Path
-    event_source: Path
-    train_range: DateRange
-    test_range: DateRange
-    output_dir: Path
-    history_days: int = 28
-    baseline: BaselineConfig = BaselineConfig()
-    model: str = "gpt-4"
-    temperature: float = 0.0
-    max_tokens: int | None = None
-    backend_kind: str = "mock"
-    backend: BackendConfig = BackendConfig()
-    mock_script: Path | None = None
-    cache_dir: Path | None = None
-    ablation: AblationConfig = AblationConfig()
-    concurrency: int = 4
-    fallback_budget: float = 1.0
-    max_description_words: int = 500
-    template_dir: Path | None = None
-    linear_ridge_lambda: float = 1.0
-    gbdt: GbdtParams = GbdtParams()
-    time_bins: int = 24
-    text_dim: int = 32
-    ablate_models: tuple[str, ...] = (LLM_MODEL_NAME,)
-    extra_predictions: tuple[Path, ...] = ()
-
-    def __post_init__(self):
-        if self.history_days < 1:
-            raise ConfigError("history_days must be positive")
-        if self.train_range.end >= self.test_range.start:
-            raise ConfigError("train_range must end before test_range begins")
-        if self.backend_kind not in BACKEND_KINDS:
-            raise ConfigError(f"backend kind must be one of {BACKEND_KINDS}")
-        if self.concurrency < 1:
-            raise ConfigError("concurrency must be >= 1")
-        if not (0.0 <= self.fallback_budget <= 1.0):
-            raise ConfigError("fallback_budget must be in [0, 1]")
-
-    @property
-    def full_range(self) -> DateRange:
-        return DateRange(self.train_range.start, self.test_range.end)
-
-    def templates(self) -> PromptTemplates:
-        if self.template_dir is None:
-            return DEFAULT_TEMPLATES
-        return load_templates(self.template_dir)
-
-    def to_dict(self) -> dict:
-        return {
-            "venue": {
-                "name": self.venue.name,
-                "lat": self.venue.center.lat,
-                "lon": self.venue.center.lon,
-                "radius_m": self.venue.radius_m,
-                "timezone": self.venue.timezone,
-            },
-            "trip_source": str(self.trip_source),
-            "event_source": str(self.event_source),
-            "train_range": [self.train_range.start.isoformat(), self.train_range.end.isoformat()],
-            "test_range": [self.test_range.start.isoformat(), self.test_range.end.isoformat()],
-            "output_dir": str(self.output_dir),
-            "history_days": self.history_days,
-            "baseline": {
-                "lookback_weeks": self.baseline.lookback_weeks,
-                "min_samples": self.baseline.min_samples,
-                "fallback": self.baseline.fallback.value,
-            },
-            "model": self.model,
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
-            "backend_kind": self.backend_kind,
-            "backend": {
-                "base_url": self.backend.base_url,
-                "timeout_s": self.backend.timeout_s,
-                "max_retries": self.backend.max_retries,
-                "retry_backoff_s": self.backend.retry_backoff_s,
-            },
-            "mock_script": str(self.mock_script) if self.mock_script else None,
-            "cache_dir": str(self.cache_dir) if self.cache_dir else None,
-            "ablation": self.ablation.name,
-            "concurrency": self.concurrency,
-            "fallback_budget": self.fallback_budget,
-            "max_description_words": self.max_description_words,
-            "template_dir": str(self.template_dir) if self.template_dir else None,
-            "linear_ridge_lambda": self.linear_ridge_lambda,
-            "gbdt": {
-                "n_trees": self.gbdt.n_trees,
-                "max_depth": self.gbdt.max_depth,
-                "learning_rate": self.gbdt.learning_rate,
-                "min_leaf": self.gbdt.min_leaf,
-            },
-            "time_bins": self.time_bins,
-            "text_dim": self.text_dim,
-            "ablate_models": list(self.ablate_models),
-            "extra_predictions": [str(p) for p in self.extra_predictions],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict, base_dir: Path | None = None) -> "PipelineConfig":
-        def path_of(value, required_name=None):
-            if value is None:
-                if required_name:
-                    raise ConfigError(f"config missing required path: {required_name}")
-                return None
-            p = Path(value)
-            if base_dir is not None and not p.is_absolute():
-                p = base_dir / p
-            return p
-
-        try:
-            venue_doc = doc["venue"]
-            venue = VenueConfig(
-                name=venue_doc["name"],
-                center=GeoPoint(venue_doc["lat"], venue_doc["lon"]),
-                radius_m=venue_doc.get("radius_m", 220.0),
-                timezone=venue_doc.get("timezone", "America/New_York"),
-            )
-            baseline_doc = doc.get("baseline", {})
-            baseline = BaselineConfig(
-                lookback_weeks=baseline_doc.get("lookback_weeks", 8),
-                min_samples=baseline_doc.get("min_samples", 2),
-                fallback=Fallback(baseline_doc.get("fallback", "expand_window")),
-            )
-            backend_doc = doc.get("backend", {})
-            kind = backend_doc.get("kind", doc.get("backend_kind", "mock"))
-            backend = BackendConfig(
-                base_url=backend_doc.get("base_url", "https://api.openai.com"),
-                timeout_s=backend_doc.get("timeout_s", 60.0),
-                max_retries=backend_doc.get("max_retries", 3),
-                retry_backoff_s=backend_doc.get("retry_backoff_s", 2.0),
-            )
-            gbdt_doc = doc.get("gbdt", {})
-            gbdt = GbdtParams(
-                n_trees=gbdt_doc.get("n_trees", 200),
-                max_depth=gbdt_doc.get("max_depth", 3),
-                learning_rate=gbdt_doc.get("learning_rate", 0.05),
-                min_leaf=gbdt_doc.get("min_leaf", 5),
-            )
-            return cls(
-                venue=venue,
-                trip_source=path_of(doc.get("trip_source"), "trip_source"),
-                event_source=path_of(doc.get("event_source"), "event_source"),
-                train_range=DateRange(
-                    date.fromisoformat(doc["train_range"][0]),
-                    date.fromisoformat(doc["train_range"][1]),
-                ),
-                test_range=DateRange(
-                    date.fromisoformat(doc["test_range"][0]),
-                    date.fromisoformat(doc["test_range"][1]),
-                ),
-                output_dir=path_of(doc.get("output_dir", "out")),
-                history_days=doc.get("history_days", 28),
-                baseline=baseline,
-                model=doc.get("model", "gpt-4"),
-                temperature=doc.get("temperature", 0.0),
-                max_tokens=doc.get("max_tokens"),
-                backend_kind=kind,
-                backend=backend,
-                mock_script=path_of(backend_doc.get("mock_script", doc.get("mock_script"))),
-                cache_dir=path_of(doc.get("cache_dir")),
-                ablation=AblationConfig.parse(doc.get("ablation", "c_t_h_prime/r_i")),
-                concurrency=doc.get("concurrency", 4),
-                fallback_budget=doc.get("fallback_budget", 1.0),
-                max_description_words=doc.get("max_description_words", 500),
-                template_dir=path_of(doc.get("template_dir")),
-                linear_ridge_lambda=doc.get("linear_ridge_lambda", 1.0),
-                gbdt=gbdt,
-                time_bins=doc.get("time_bins", 24),
-                text_dim=doc.get("text_dim", 32),
-                ablate_models=tuple(doc.get("ablate_models", [LLM_MODEL_NAME])),
-                extra_predictions=tuple(
-                    path_of(p) for p in doc.get("extra_predictions", [])
-                ),
-            )
-        except ConfigError:
-            raise
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid pipeline config: {exc}") from exc
-
-    @classmethod
-    def from_file(cls, path: Path | str) -> "PipelineConfig":
-        path = Path(path)
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(doc, base_dir=path.parent)
 
 
 def build_backend(config: PipelineConfig) -> ChatBackend:
@@ -326,7 +127,7 @@ def build_backend(config: PipelineConfig) -> ChatBackend:
     if kind == "cache" and config.cache_dir is None:
         raise ConfigError("backend kind 'cache' requires cache_dir")
     if config.cache_dir is not None:
-        return with_cache(inner, config.cache_dir)
+        return CachingBackend(inner, config.cache_dir)
     return inner
 
 
@@ -335,22 +136,29 @@ def build_backend(config: PipelineConfig) -> ChatBackend:
 # ---------------------------------------------------------------------------
 
 ARTIFACTS = {
-    "daily_demand": ("ingest", "daily_demand.csv"),
-    "ingest_rejects": ("ingest", "ingest_rejects.jsonl"),
-    "formatted_events": ("format_events", "formatted_events.json"),
-    "decomposition": ("decompose", "decomposition.csv"),
-    "predictions": ("predict", "predictions.csv"),
-    "predictions_detail": ("predict", "predictions.jsonl"),
-    "parse_failures": ("predict", "parse_failures.jsonl"),
-    "report": ("evaluate", "report.csv"),
-    "plot_data": ("evaluate", "plot_data.csv"),
-    "ablation_report": ("ablate", "ablation_report.csv"),
-    "summary": ("report", "summary.txt"),
+    "daily_demand": "daily_demand.csv",
+    "ingest_rejects": "ingest_rejects.jsonl",
+    "formatted_events": "formatted_events.json",
+    "decomposition": "decomposition.csv",
+    "predictions": "predictions.csv",
+    "predictions_detail": "predictions.jsonl",
+    "parse_failures": "parse_failures.jsonl",
+    "report": "report.csv",
+    "plot_data": "plot_data.csv",
+    "predictions_historical_average": "predictions_historical_average.csv",
+    "predictions_linear": "predictions_linear.csv",
+    "predictions_gbdt": "predictions_gbdt.csv",
+    "model_linear_out": "models/linear_out.json",
+    "model_linear_in": "models/linear_in.json",
+    "model_gbdt_out": "models/gbdt_out.json",
+    "model_gbdt_in": "models/gbdt_in.json",
+    "ablation_report": "ablation_report.csv",
+    "summary": "summary.txt",
 }
 
 
 def artifact_path(config: PipelineConfig, name: str) -> Path:
-    return config.output_dir / ARTIFACTS[name][1]
+    return config.output_dir / ARTIFACTS[name]
 
 
 def _sha256_file(path: Path) -> str:
@@ -361,12 +169,26 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def config_digest(config: PipelineConfig) -> str:
-    blob = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
+def _file_digest(path: Path) -> str | None:
+    """The file's digest, or None when it does not exist."""
+    try:
+        return _sha256_file(path)
+    except FileNotFoundError:
+        return None
+
+
+def _json_digest(value) -> str:
+    blob = json.dumps(value, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def config_digest(config: PipelineConfig) -> str:
+    """Digest of the whole config; recorded in the manifest, not used to skip."""
+    return _json_digest(config.to_dict())
+
+
 def template_digest(config: PipelineConfig) -> str:
+    """Digest of the prompt templates; recorded in the manifest, not used to skip."""
     templates = config.templates()
     blob = templates.event_format + "\x00" + templates.prediction
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -415,6 +237,23 @@ def _load_catalog(config: PipelineConfig) -> list[EventRecord]:
     return parse_event_records(text)
 
 
+class _History(NamedTuple):
+    """True daily demand, the event calendar and the day decompositions."""
+
+    demand: Mapping[date, DailyDemand]
+    calendar: Mapping[date, DayEvents]
+    decompositions: Mapping[date, DemandDecomposition]
+
+
+def _load_history(config: PipelineConfig) -> _History:
+    demand = demand_index(read_daily_demand_csv(artifact_path(config, "daily_demand")))
+    calendar = day_events_index(_load_catalog(config), config.full_range)
+    decompositions = {
+        d.date: d for d in read_decomposition_csv(artifact_path(config, "decomposition"))
+    }
+    return _History(demand, calendar, decompositions)
+
+
 def _formatted_lookup(config: PipelineConfig) -> dict[tuple[str, str | None], tuple[str, str]]:
     path = artifact_path(config, "formatted_events")
     doc = json.loads(path.read_text())
@@ -447,6 +286,11 @@ def _events_for_prompt(
     return tuple(out)
 
 
+def _with_reminder(request: ChatRequest, reminder: str) -> ChatRequest:
+    """The re-prompt after a malformed reply: the request plus a format reminder."""
+    return replace(request, messages=request.messages + (ChatMessage("user", reminder),))
+
+
 class DayPrediction(NamedTuple):
     result: PredictionResult
     fallback: bool
@@ -456,15 +300,14 @@ class DayPrediction(NamedTuple):
 
 def _predict_day(
     target: date,
-    demand: Mapping[date, DailyDemand],
-    calendar: Mapping[date, DayEvents],
-    decompositions: Mapping[date, DemandDecomposition],
+    history: _History,
     config: PipelineConfig,
     backend: ChatBackend,
     ablation: AblationConfig,
     formatted: Mapping[tuple[str, str | None], tuple[str, str]] | None,
+    templates: PromptTemplates,
 ) -> DayPrediction:
-    templates = config.templates()
+    calendar, decompositions = history.calendar, history.decompositions
     days = []
     for offset in range(config.history_days, 0, -1):
         day = target - timedelta(days=offset)
@@ -481,7 +324,7 @@ def _predict_day(
     if target in decompositions:
         baseline = decompositions[target].baseline
     else:
-        baseline = weekday_baseline(demand, calendar, target, config.baseline)
+        baseline = weekday_baseline(history.demand, calendar, target, config.baseline)
 
     target_events = calendar.get(target, DayEvents(target))
     target_context = DayContext(
@@ -500,35 +343,17 @@ def _predict_day(
         temperature=config.temperature,
     )
     if config.max_tokens is not None:
-        request = ChatRequest(
-            model=request.model,
-            messages=request.messages,
-            temperature=request.temperature,
-            max_tokens=config.max_tokens,
-        )
-    digest = cache_key(request)
+        request = replace(request, max_tokens=config.max_tokens)
 
     failures: list[str] = []
-    response = backend.complete(request)
-    try:
-        result = parse_prediction(response.content, target)
-        return DayPrediction(result, False, tuple(failures), digest)
-    except MalformedReplyError as exc:
-        failures.append(failure_record(target, digest, exc.raw, str(exc)))
-
-    retry = ChatRequest(
-        model=request.model,
-        messages=request.messages + (ChatMessage("user", PREDICTION_REMINDER),),
-        temperature=request.temperature,
-        max_tokens=request.max_tokens,
-    )
-    retry_digest = cache_key(retry)
-    response = backend.complete(retry)
-    try:
-        result = parse_prediction(response.content, target)
-        return DayPrediction(result, False, tuple(failures), retry_digest)
-    except MalformedReplyError as exc:
-        failures.append(failure_record(target, retry_digest, exc.raw, str(exc)))
+    for attempt in (request, _with_reminder(request, PREDICTION_REMINDER)):
+        digest = cache_key(attempt)
+        response = backend.complete(attempt)
+        try:
+            result = parse_prediction(response.content, target)
+            return DayPrediction(result, False, tuple(failures), digest)
+        except MalformedReplyError as exc:
+            failures.append(failure_record(target, digest, exc.raw, str(exc)))
 
     fallback = PredictionResult(
         date=target,
@@ -537,7 +362,7 @@ def _predict_day(
         reasoning="fallback: baseline",
         raw_response=response.content,
     )
-    return DayPrediction(fallback, True, tuple(failures), retry_digest)
+    return DayPrediction(fallback, True, tuple(failures), digest)
 
 
 def predict_next_day(
@@ -569,8 +394,8 @@ def predict_next_day(
         baseline = weekday_baseline(demand, calendar, day, config.baseline)
         decompositions[day] = decompose(demand[day], baseline)
     return _predict_day(
-        target, demand, calendar, decompositions, config, backend,
-        config.ablation, formatted,
+        target, _History(demand, calendar, decompositions), config, backend,
+        config.ablation, formatted, config.templates(),
     ).result
 
 
@@ -630,24 +455,16 @@ def _stage_format_events(config: PipelineConfig, backend: ChatBackend) -> dict:
             description_word_cap=config.max_description_words,
             temperature=config.temperature,
         )
-        calls += 1
-        response = backend.complete(request)
-        try:
-            formatted = parse_formatted_event(response.content, record)
-        except MalformedReplyError:
-            retry = ChatRequest(
-                model=request.model,
-                messages=request.messages + (ChatMessage("user", EVENT_REMINDER),),
-                temperature=request.temperature,
-            )
+        for attempt in (request, _with_reminder(request, EVENT_REMINDER)):
             calls += 1
-            response = backend.complete(retry)
+            response = backend.complete(attempt)
             try:
                 formatted = parse_formatted_event(response.content, record)
+                break
             except MalformedReplyError as exc:
-                raise StageError(
-                    f"could not format event {record.title!r}: {exc}"
-                ) from exc
+                error = exc
+        else:
+            raise StageError(f"could not format event {record.title!r}: {error}") from error
         entries.append({
             "title": record.title,
             "description": record.description,
@@ -686,17 +503,14 @@ def _run_predictions(
     config: PipelineConfig,
     backend: ChatBackend,
     ablation: AblationConfig,
-    demand: Mapping[date, DailyDemand],
-    calendar: Mapping[date, DayEvents],
-    decompositions: Mapping[date, DemandDecomposition],
+    history: _History,
     formatted: Mapping[tuple[str, str | None], tuple[str, str]] | None,
+    templates: PromptTemplates,
 ) -> list[DayPrediction]:
     targets = list(config.test_range.days())
 
     def run(target: date) -> DayPrediction:
-        return _predict_day(
-            target, demand, calendar, decompositions, config, backend, ablation, formatted
-        )
+        return _predict_day(target, history, config, backend, ablation, formatted, templates)
 
     if config.concurrency == 1:
         return [run(t) for t in targets]
@@ -705,11 +519,7 @@ def _run_predictions(
 
 
 def _stage_predict(config: PipelineConfig, backend: ChatBackend) -> dict:
-    series = read_daily_demand_csv(artifact_path(config, "daily_demand"))
-    demand = demand_index(series)
-    catalog = _load_catalog(config)
-    calendar = day_events_index(catalog, config.full_range)
-    decompositions = {d.date: d for d in read_decomposition_csv(artifact_path(config, "decomposition"))}
+    history = _load_history(config)
     formatted = (
         _formatted_lookup(config)
         if config.ablation.event_features is EventFeatures.C_T_H_PRIME
@@ -717,7 +527,7 @@ def _stage_predict(config: PipelineConfig, backend: ChatBackend) -> dict:
     )
     before = _backend_call_count(backend)
     predictions = _run_predictions(
-        config, backend, config.ablation, demand, calendar, decompositions, formatted
+        config, backend, config.ablation, history, formatted, config.templates()
     )
     after = _backend_call_count(backend)
 
@@ -770,14 +580,14 @@ def _stage_predict(config: PipelineConfig, backend: ChatBackend) -> dict:
 def _classical_feature_rows(
     config: PipelineConfig,
     targets: Sequence[date],
-    calendar: Mapping[date, DayEvents],
-    decompositions: Mapping[date, DemandDecomposition],
+    history: _History,
     ablation: AblationConfig,
-    formatted: Mapping[tuple[str, str | None], tuple[str, str]] | None,
 ):
-    """Feature matrix plus per-flow targets for the classical models."""
+    """Feature matrix plus per-flow targets for the classical models, which
+    see raw event records only (see `_classical_ablation`)."""
     import numpy as np
 
+    calendar, decompositions = history.calendar, history.decompositions
     feat_config = FeaturizerConfig(
         lag_days=config.history_days,
         time_bins=config.time_bins,
@@ -802,10 +612,7 @@ def _classical_feature_rows(
             continue
         window = HistoryWindow(tuple(days))
         target_events = calendar.get(target, DayEvents(target))
-        target_formatted = None
-        if ablation.event_features is EventFeatures.C_T_H_PRIME:
-            target_formatted = _events_for_prompt(target_events, ablation, formatted)
-        rows.append(featurize_day(window, target_events, feat_config, target_formatted))
+        rows.append(featurize_day(window, target_events, feat_config))
         kept.append(target)
         if target in decompositions:
             dec = decompositions[target]
@@ -826,13 +633,11 @@ def _classical_records(
     config: PipelineConfig,
     model_kind: str,
     ablation: AblationConfig,
-    demand: Mapping[date, DailyDemand],
-    calendar: Mapping[date, DayEvents],
-    decompositions: Mapping[date, DemandDecomposition],
-    formatted=None,
-    save_dir: Path | None = None,
+    history: _History,
+    save_models: bool = False,
 ) -> list[EvalRecord]:
     """Train on the train range, predict the test range, join with truth."""
+    demand, decompositions = history.demand, history.decompositions
     train_targets = [
         d for d in config.train_range.days()
         if (d - config.train_range.start).days > config.history_days
@@ -846,37 +651,30 @@ def _classical_records(
             records.append(EvalRecord(target, demand[target], baseline))
         return records
 
-    X_train, y_out, y_in, _ = _classical_feature_rows(
-        config, train_targets, calendar, decompositions, ablation, formatted
-    )
+    X_train, y_out, y_in, _ = _classical_feature_rows(config, train_targets, history, ablation)
     if X_train.shape[0] < 2:
         raise StageError("not enough training rows for classical baselines")
-    X_test, _, _, kept = _classical_feature_rows(
-        config, test_targets, calendar, decompositions, ablation, formatted
-    )
+    X_test, _, _, kept = _classical_feature_rows(config, test_targets, history, ablation)
 
     if model_kind == "linear":
         model_out = fit_linear(X_train, y_out, config.linear_ridge_lambda)
         model_in = fit_linear(X_train, y_in, config.linear_ridge_lambda)
         predict = predict_linear
-        models = (model_out, model_in)
     elif model_kind == "gbdt":
         model_out = fit_gbdt(X_train, y_out, config.gbdt)
         model_in = fit_gbdt(X_train, y_in, config.gbdt)
         predict = predict_gbdt
-        models = (model_out, model_in)
     else:
         raise StageError(f"unknown classical model: {model_kind}")
 
-    if save_dir is not None:
-        save_dir.mkdir(parents=True, exist_ok=True)
-        save_model(models[0], save_dir / f"{model_kind}_out.json")
-        save_model(models[1], save_dir / f"{model_kind}_in.json")
+    if save_models:
+        save_model(model_out, artifact_path(config, f"model_{model_kind}_out"))
+        save_model(model_in, artifact_path(config, f"model_{model_kind}_in"))
 
     records = []
     for target, x in zip(kept, X_test):
-        pred_out = predict(models[0], x)
-        pred_in = predict(models[1], x)
+        pred_out = predict(model_out, x)
+        pred_in = predict(model_in, x)
         if ablation.demand_features is DemandFeatures.R_I:
             baseline = decompositions[target].baseline
             pred_out += baseline.outflow
@@ -887,7 +685,7 @@ def _classical_records(
     return records
 
 
-def _classical_ablation(config: PipelineConfig, ablation: AblationConfig) -> AblationConfig:
+def _classical_ablation(ablation: AblationConfig) -> AblationConfig:
     """Classical models cannot consume h'; downgrade to raw descriptions."""
     if ablation.event_features is EventFeatures.C_T_H_PRIME:
         return AblationConfig(EventFeatures.C_T_H, ablation.demand_features)
@@ -919,13 +717,8 @@ def _write_prediction_csv(records: Sequence[EvalRecord], model_name: str, path: 
 
 
 def _stage_evaluate(config: PipelineConfig, _backend) -> dict:
-    series = read_daily_demand_csv(artifact_path(config, "daily_demand"))
-    demand = demand_index(series)
-    catalog = _load_catalog(config)
-    calendar = day_events_index(catalog, config.full_range)
-    decompositions = {
-        d.date: d for d in read_decomposition_csv(artifact_path(config, "decomposition"))
-    }
+    history = _load_history(config)
+    demand, calendar = history.demand, history.calendar
 
     reports = []
     llm_records = []
@@ -935,21 +728,17 @@ def _stage_evaluate(config: PipelineConfig, _backend) -> dict:
         if model_name == LLM_MODEL_NAME:
             llm_records = records
 
-    classical_ablation = _classical_ablation(config, config.ablation)
-    models_dir = config.output_dir / "models"
-    for model_kind in ("historical_average", "linear", "gbdt"):
+    classical_ablation = _classical_ablation(config.ablation)
+    for model_kind in CLASSICAL_MODELS:
         records = _classical_records(
-            config, model_kind, classical_ablation, demand, calendar, decompositions,
-            save_dir=models_dir if model_kind != "historical_average" else None,
+            config, model_kind, classical_ablation, history, save_models=True
         )
         reports.append(segment_report(records, calendar, model_kind, classical_ablation))
         _write_prediction_csv(
-            records, model_kind, config.output_dir / f"predictions_{model_kind}.csv"
+            records, model_kind, artifact_path(config, f"predictions_{model_kind}")
         )
 
     for extra in config.extra_predictions:
-        if not Path(extra).exists():
-            raise ConfigError(f"extra prediction file not found: {extra}")
         for model_name, rows in sorted(_read_prediction_csv(Path(extra)).items()):
             records = [EvalRecord(d, demand[d], pred) for d, pred in rows]
             reports.append(segment_report(records, calendar, model_name, config.ablation))
@@ -964,78 +753,39 @@ def _stage_evaluate(config: PipelineConfig, _backend) -> dict:
 
 
 def _stage_ablate(config: PipelineConfig, backend: ChatBackend) -> dict:
-    series = read_daily_demand_csv(artifact_path(config, "daily_demand"))
-    demand = demand_index(series)
-    catalog = _load_catalog(config)
-    calendar = day_events_index(catalog, config.full_range)
-    decompositions = {
-        d.date: d for d in read_decomposition_csv(artifact_path(config, "decomposition"))
-    }
+    history = _load_history(config)
     formatted = _formatted_lookup(config)
+    templates = config.templates()
 
-    all_rows: list[AblationRow] = []
-    row_models: list[str] = []
+    def llm_runner(ablation: AblationConfig) -> list[EvalRecord]:
+        predictions = _run_predictions(
+            config, backend, ablation, history, formatted, templates
+        )
+        return [
+            EvalRecord(
+                p.result.date,
+                history.demand[p.result.date],
+                Flows(float(p.result.pickup), float(p.result.dropoff)),
+            )
+            for p in predictions
+        ]
+
+    def gbdt_runner(ablation: AblationConfig) -> list[EvalRecord] | None:
+        if ablation.event_features is EventFeatures.C_T_H_PRIME:
+            return None  # not applicable for classical baselines
+        return _classical_records(config, "gbdt", ablation, history)
+
+    rows: list[AblationRow] = []
     for model_name in config.ablate_models:
         if model_name == LLM_MODEL_NAME:
-            grid = canonical_grid(EventFeatures.C_T_H_PRIME)
-
-            def llm_runner(ablation: AblationConfig):
-                fmt = (
-                    formatted
-                    if ablation.event_features is EventFeatures.C_T_H_PRIME
-                    else None
-                )
-                predictions = _run_predictions(
-                    config, backend, ablation, demand, calendar, decompositions, fmt
-                )
-                return [
-                    EvalRecord(
-                        p.result.date,
-                        demand[p.result.date],
-                        Flows(float(p.result.pickup), float(p.result.dropoff)),
-                    )
-                    for p in predictions
-                ]
-
-            rows = run_ablation(grid, llm_runner, calendar, LLM_MODEL_NAME)
+            grid, runner = canonical_grid(EventFeatures.C_T_H_PRIME), llm_runner
         elif model_name == "gbdt":
-            grid = canonical_grid(EventFeatures.C_T_H)
-
-            def gbdt_runner(ablation: AblationConfig):
-                if ablation.event_features is EventFeatures.C_T_H_PRIME:
-                    return None  # not applicable for classical baselines
-                return _classical_records(
-                    config, "gbdt", ablation, demand, calendar, decompositions
-                )
-
-            rows = run_ablation(grid, gbdt_runner, calendar, "gbdt")
+            grid, runner = canonical_grid(EventFeatures.C_T_H), gbdt_runner
         else:
             raise ConfigError(f"unknown ablate model: {model_name}")
-        all_rows.extend(rows)
-        row_models.extend([model_name] * len(rows))
-
-    path = artifact_path(config, "ablation_report")
-    with atomic_writer(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "ablation", "segment", "n", "rmse", "mae", "mape", "r2"])
-        for model_name, row in zip(row_models, all_rows):
-            if row.report is None:
-                writer.writerow([model_name, row.ablation.name, "all", "", "", "", "", ""])
-                continue
-            for segment, metrics in (
-                ("all", row.report.all_days),
-                ("event", row.report.event_days),
-                ("non_event", row.report.non_event_days),
-            ):
-                if metrics is None:
-                    continue
-                writer.writerow([
-                    model_name, row.ablation.name, segment, metrics.n,
-                    f"{metrics.rmse:.6f}", f"{metrics.mae:.6f}",
-                    "" if metrics.mape is None else f"{metrics.mape:.6f}",
-                    "" if metrics.r2 is None else f"{metrics.r2:.6f}",
-                ])
-    return {"models": list(config.ablate_models), "configs": len(all_rows)}
+        rows.extend(run_ablation(grid, runner, history.calendar, model_name))
+    write_ablation_csv(rows, artifact_path(config, "ablation_report"))
+    return {"models": list(config.ablate_models), "configs": len(rows)}
 
 
 def _stage_report(config: PipelineConfig, _backend) -> dict:
@@ -1103,128 +853,189 @@ def _stage_report(config: PipelineConfig, _backend) -> dict:
 
 @dataclass(frozen=True)
 class StageDef:
+    """What a stage reads and writes; the skip check compares nothing else.
+
+    `config` names the PipelineConfig fields the stage reads. Path fields
+    are not among them: the files they name are read, and a file's digest
+    is keyed by its path. `reads` lists files that must exist, as artifact
+    names of earlier stages or as paths; `reads_if_present` lists files
+    whose absence is itself an input. `stats_of` names the stages whose
+    manifest stats the stage reads. `writes` names the artifacts it writes.
+    """
+
     run: Callable[[PipelineConfig, ChatBackend | None], dict]
-    sources: Callable[[PipelineConfig], list[Path]]
-    artifacts_in: Callable[[PipelineConfig], list[str]]
-    artifacts_out: Callable[[PipelineConfig], list[str]]
-    needs_backend: bool = False
+    config: tuple[str, ...]
+    reads: Callable[[PipelineConfig], list[str | Path]]
+    writes: tuple[str, ...]
+    reads_if_present: Callable[[PipelineConfig], list[str | Path]] = lambda c: []
+    stats_of: tuple[str, ...] = ()
+
+    @property
+    def needs_backend(self) -> bool:
+        return "backend_kind" in self.config
 
 
-def _predict_inputs(config: PipelineConfig) -> list[str]:
-    names = ["daily_demand", "decomposition"]
+# Backend identity and prompt wording; `to_dict` leaves out `api_key`.
+_LLM_FIELDS = ("backend_kind", "backend", "model", "temperature", "max_description_words")
+_RANGES = ("train_range", "test_range")
+
+
+def _mock_script(config: PipelineConfig) -> list[Path]:
+    if config.backend_kind == "mock" and config.mock_script is not None:
+        return [config.mock_script]
+    return []
+
+
+def _template(name: str) -> Callable[[PipelineConfig], list[Path]]:
+    def files(config: PipelineConfig) -> list[Path]:
+        return [] if config.template_dir is None else [config.template_dir / f"{name}.txt"]
+    return files
+
+
+def _h_prime(config: PipelineConfig) -> list[str]:
     if config.ablation.event_features is EventFeatures.C_T_H_PRIME:
-        names.append("formatted_events")
-    return names
+        return ["formatted_events"]
+    return []
 
 
 _STAGE_DEFS: dict[str, StageDef] = {
     "ingest": StageDef(
         run=_stage_ingest,
-        sources=lambda c: [Path(c.trip_source)],
-        artifacts_in=lambda c: [],
-        artifacts_out=lambda c: ["daily_demand", "ingest_rejects"],
+        config=("venue", *_RANGES),
+        reads=lambda c: [c.trip_source],
+        writes=("daily_demand", "ingest_rejects"),
     ),
     "format_events": StageDef(
         run=_stage_format_events,
-        sources=lambda c: [Path(c.event_source)],
-        artifacts_in=lambda c: [],
-        artifacts_out=lambda c: ["formatted_events"],
-        needs_backend=True,
+        config=_LLM_FIELDS,
+        reads=lambda c: [c.event_source, *_mock_script(c)],
+        reads_if_present=_template("event_format"),
+        writes=("formatted_events",),
     ),
     "decompose": StageDef(
         run=_stage_decompose,
-        sources=lambda c: [Path(c.event_source)],
-        artifacts_in=lambda c: ["daily_demand"],
-        artifacts_out=lambda c: ["decomposition"],
+        config=("baseline", *_RANGES),
+        reads=lambda c: [c.event_source, "daily_demand"],
+        writes=("decomposition",),
     ),
     "predict": StageDef(
         run=_stage_predict,
-        sources=lambda c: [Path(c.event_source)],
-        artifacts_in=_predict_inputs,
-        artifacts_out=lambda c: ["predictions", "predictions_detail", "parse_failures"],
-        needs_backend=True,
+        config=(*_LLM_FIELDS, *_RANGES, "history_days", "baseline", "ablation",
+                "max_tokens", "fallback_budget"),
+        reads=lambda c: [
+            c.event_source, *_mock_script(c), "daily_demand", "decomposition", *_h_prime(c),
+        ],
+        reads_if_present=_template("prediction"),
+        writes=("predictions", "predictions_detail", "parse_failures"),
     ),
     "evaluate": StageDef(
         run=_stage_evaluate,
-        sources=lambda c: [Path(c.event_source)] + [Path(p) for p in c.extra_predictions],
-        artifacts_in=lambda c: ["daily_demand", "decomposition", "predictions"],
-        artifacts_out=lambda c: ["report", "plot_data"],
+        config=(*_RANGES, "history_days", "ablation", "linear_ridge_lambda", "gbdt",
+                "time_bins", "text_dim"),
+        reads=lambda c: [
+            c.event_source, *c.extra_predictions, "daily_demand", "decomposition", "predictions",
+        ],
+        writes=(
+            "report", "plot_data", "predictions_historical_average", "predictions_linear",
+            "predictions_gbdt", "model_linear_out", "model_linear_in", "model_gbdt_out",
+            "model_gbdt_in",
+        ),
     ),
     "ablate": StageDef(
         run=_stage_ablate,
-        sources=lambda c: [Path(c.event_source)],
-        artifacts_in=lambda c: ["daily_demand", "decomposition", "formatted_events"],
-        artifacts_out=lambda c: ["ablation_report"],
-        needs_backend=True,
+        config=(*_LLM_FIELDS, *_RANGES, "history_days", "baseline", "max_tokens",
+                "ablate_models", "gbdt", "time_bins", "text_dim"),
+        reads=lambda c: [
+            c.event_source, *_mock_script(c), "daily_demand", "decomposition", "formatted_events",
+        ],
+        reads_if_present=_template("prediction"),
+        writes=("ablation_report",),
     ),
     "report": StageDef(
         run=_stage_report,
-        sources=lambda c: [],
-        artifacts_in=lambda c: ["report"],
-        artifacts_out=lambda c: ["summary"],
+        config=("venue", "test_range", "ablation"),
+        reads=lambda c: ["report"],
+        reads_if_present=lambda c: ["ablation_report"],
+        stats_of=("predict", "evaluate"),
+        writes=("summary",),
     ),
 }
 
+_PRODUCERS = {name: stage for stage, d in _STAGE_DEFS.items() for name in d.writes}
 
-def _check_inputs(stage: str, config: PipelineConfig) -> dict[str, str]:
-    """Verify sources and prerequisite artifacts; return their digests."""
+
+def _stage_def(stage: str) -> StageDef:
+    if stage not in _STAGE_DEFS:
+        raise ConfigError(f"unknown stage: {stage}")
+    return _STAGE_DEFS[stage]
+
+
+def _input_digests(stage: str, config: PipelineConfig, manifest: dict) -> dict[str, str | None]:
+    """Digests of everything the stage reads; a required file must exist."""
     stage_def = _STAGE_DEFS[stage]
-    digests: dict[str, str] = {}
-    for source in stage_def.sources(config):
-        if not source.exists():
-            raise ConfigError(f"{stage}: source file not found: {source}")
-        digests[str(source)] = _sha256_file(source)
-    for name in stage_def.artifacts_in(config):
-        path = artifact_path(config, name)
-        if not path.exists():
-            producer = ARTIFACTS[name][0]
+    digests: dict[str, str | None] = {}
+    for item in stage_def.reads(config):
+        path = artifact_path(config, item) if isinstance(item, str) else Path(item)
+        if path.exists():
+            digests[str(path)] = _sha256_file(path)
+        elif isinstance(item, str):
+            producer = _PRODUCERS[item]
             raise PreconditionError(
                 f"{stage}: missing {path.name}; run `{producer}` first",
                 required_stage=producer,
             )
-        digests[str(path)] = _sha256_file(path)
+        else:
+            raise ConfigError(f"{stage}: source file not found: {path}")
+    for item in stage_def.reads_if_present(config):
+        path = artifact_path(config, item) if isinstance(item, str) else Path(item)
+        digests[str(path)] = _file_digest(path)
+    for name in stage_def.stats_of:
+        entry = manifest.get("stages", {}).get(name)
+        digests[f"manifest.json#stages.{name}.stats"] = (
+            None if entry is None else _json_digest(entry.get("stats"))
+        )
     return digests
+
+
+def _output_digests(stage: str, config: PipelineConfig) -> dict[str, str | None]:
+    return {
+        str(artifact_path(config, name)): _file_digest(artifact_path(config, name))
+        for name in _STAGE_DEFS[stage].writes
+    }
+
+
+def _stage_state(stage: str, config: PipelineConfig, manifest: dict) -> dict:
+    """The stage's config slice, inputs and outputs, as the manifest records them."""
+    config_slice = {name: encode(getattr(config, name)) for name in _STAGE_DEFS[stage].config}
+    return {
+        "config_slice": _json_digest(config_slice),
+        "inputs": _input_digests(stage, config, manifest),
+        "outputs": _output_digests(stage, config),
+    }
+
+
+def _up_to_date(manifest: dict, stage: str, state: dict) -> bool:
+    entry = manifest.get("stages", {}).get(stage)
+    return entry is not None and all(entry.get(key) == value for key, value in state.items())
 
 
 def plan_stage(stage: str, config: PipelineConfig) -> dict:
     """Dry-run view: whether the stage would be skipped, and its files."""
-    if stage not in _STAGE_DEFS:
-        raise ConfigError(f"unknown stage: {stage}")
-    stage_def = _STAGE_DEFS[stage]
-    entry = load_manifest(config).get("stages", {}).get(stage)
-    would_skip = False
-    missing = []
+    stage_def = _stage_def(stage)
+    manifest = load_manifest(config)
     try:
-        digests = _check_inputs(stage, config)
+        state = _stage_state(stage, config, manifest)
+        blocked = []
     except (ConfigError, PreconditionError) as exc:
-        digests = None
-        missing.append(str(exc))
-    if digests is not None and entry is not None:
-        would_skip = _can_skip(entry, digests, stage, config)
+        state = None
+        blocked = [str(exc)]
     return {
         "stage": stage,
-        "inputs": sorted(digests) if digests else [],
-        "outputs": [str(artifact_path(config, n)) for n in stage_def.artifacts_out(config)],
-        "would_skip": would_skip,
-        "blocked": missing,
+        "inputs": sorted(state["inputs"]) if state else [],
+        "outputs": [str(artifact_path(config, n)) for n in stage_def.writes],
+        "would_skip": state is not None and _up_to_date(manifest, stage, state),
+        "blocked": blocked,
     }
-
-
-def _can_skip(entry: dict, input_digests: dict[str, str], stage: str, config: PipelineConfig) -> bool:
-    if entry.get("config_digest") != config_digest(config):
-        return False
-    if entry.get("inputs") != input_digests:
-        return False
-    outputs = entry.get("outputs", {})
-    stage_def = _STAGE_DEFS[stage]
-    expected = {str(artifact_path(config, n)) for n in stage_def.artifacts_out(config)}
-    if set(outputs) != expected:
-        return False
-    for path_str, digest in outputs.items():
-        path = Path(path_str)
-        if not path.exists() or _sha256_file(path) != digest:
-            return False
-    return True
 
 
 def run_stage(
@@ -1232,35 +1043,25 @@ def run_stage(
     config: PipelineConfig,
     backend: ChatBackend | None = None,
 ) -> StageResult:
-    """Run one stage (or skip it when inputs and outputs are unchanged)."""
-    if stage not in _STAGE_DEFS:
-        raise ConfigError(f"unknown stage: {stage}")
-    stage_def = _STAGE_DEFS[stage]
+    """Run one stage, or skip it when its declared inputs and outputs are unchanged."""
+    stage_def = _stage_def(stage)
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    input_digests = _check_inputs(stage, config)
     manifest = load_manifest(config)
-    entry = manifest.get("stages", {}).get(stage)
-    out_names = stage_def.artifacts_out(config)
-    if entry is not None and _can_skip(entry, input_digests, stage, config):
-        return StageResult(stage, True, tuple(out_names), entry.get("stats", {}))
+    state = _stage_state(stage, config, manifest)
+    if _up_to_date(manifest, stage, state):
+        return StageResult(stage, True, stage_def.writes, manifest["stages"][stage].get("stats", {}))
 
     if stage_def.needs_backend and backend is None:
         backend = build_backend(config)
     stats = stage_def.run(config, backend)
-
-    output_digests = {
-        str(artifact_path(config, n)): _sha256_file(artifact_path(config, n))
-        for n in out_names
-    }
     manifest.setdefault("stages", {})[stage] = {
-        "config_digest": config_digest(config),
-        "inputs": input_digests,
-        "outputs": output_digests,
+        **state,
+        "outputs": _output_digests(stage, config),
         "stats": stats,
         "completed_at": datetime.now(timezone.utc).isoformat(),
     }
     save_manifest(config, manifest)
-    return StageResult(stage, False, tuple(out_names), stats)
+    return StageResult(stage, False, stage_def.writes, stats)
 
 
 DEFAULT_RUN_STAGES = ("ingest", "format_events", "decompose", "predict", "evaluate", "report")

@@ -25,7 +25,7 @@ import pytest
 from mpe.decomposition import BaselineConfig, Flows, decompose, recompose, weekday_baseline
 from mpe.errors import MalformedReplyError
 from mpe.events import DayEvents, EventRecord
-from mpe.gateway import ScriptedBackend, with_cache
+from mpe.gateway import CachingBackend, ScriptedBackend
 from mpe.geo import GeoPoint, haversine_m
 from mpe.metrics import compute_metrics
 from mpe.baselines import GbdtParams, fit_gbdt, fit_linear, predict_gbdt
@@ -231,7 +231,7 @@ def test_criterion_5_deterministic_end_to_end(bundled_dataset):
 
         scripted = ScriptedBackend(script)
         cache_dir = bundled_dataset / "mock_cache"
-        backend = with_cache(scripted, cache_dir)
+        backend = CachingBackend(scripted, cache_dir)
         run_a = replace(base, output_dir=bundled_dataset / "out_a",
                         backend_kind="mock", mock_script=script_path, cache_dir=cache_dir)
         run_b = replace(base, output_dir=bundled_dataset / "out_b",
@@ -290,7 +290,10 @@ def test_criterion_6_planted_effect_experiment(planted_two_year):
         mae_blind, mae_informed = oracles.planted_effect_bounds(rows)
         assert 1 - mae_informed / mae_blind >= 0.30  # fixture design target
 
-        config = PipelineConfig.from_file(planted_two_year / "config.json")
+        # No assertion reads the response cache, so none is written.
+        config = replace(
+            PipelineConfig.from_file(planted_two_year / "config.json"), cache_dir=None
+        )
         for stage in ("ingest", "format_events", "decompose", "ablate"):
             run_stage(stage, config)
 

@@ -13,6 +13,7 @@ import pytest
 from mpe.errors import ConfigError, MissingScriptError, ProtocolError, TransportError
 from mpe.gateway import (
     BackendConfig,
+    CachingBackend,
     ChatBackend,
     ChatMessage,
     ChatRequest,
@@ -22,7 +23,6 @@ from mpe.gateway import (
     TokenUsage,
     cache_key,
     canonical_serialization,
-    with_cache,
 )
 
 from oracles import canonical_digest
@@ -166,7 +166,7 @@ class CountingBackend(ChatBackend):
 
 def test_cache_hit_never_invokes_inner(tmp_path):
     inner = CountingBackend()
-    backend = with_cache(inner, tmp_path / "store")
+    backend = CachingBackend(inner, tmp_path / "store")
     request = _request("cache me")
     first = backend.complete(request)
     second = backend.complete(request)
@@ -177,7 +177,7 @@ def test_cache_hit_never_invokes_inner(tmp_path):
 
 def test_cache_layout(tmp_path):
     store = tmp_path / "store"
-    backend = with_cache(CountingBackend(), store)
+    backend = CachingBackend(CountingBackend(), store)
     request = _request("layout probe")
     backend.complete(request)
     digest = cache_key(request)
@@ -191,7 +191,7 @@ def test_cache_layout(tmp_path):
 def test_corrupted_entry_is_refetched_and_overwritten(tmp_path):
     store = tmp_path / "store"
     inner = CountingBackend()
-    backend = with_cache(inner, store)
+    backend = CachingBackend(inner, store)
     request = _request("heal me")
     backend.complete(request)
     digest = cache_key(request)
@@ -206,7 +206,7 @@ def test_corrupted_entry_is_refetched_and_overwritten(tmp_path):
 def test_cache_transparency_cold_store(tmp_path):
     inner = CountingBackend("same answer")
     direct = inner.complete(_request("transparent"))
-    cached = with_cache(CountingBackend("same answer"), tmp_path / "s").complete(
+    cached = CachingBackend(CountingBackend("same answer"), tmp_path / "s").complete(
         _request("transparent")
     )
     assert direct.content == cached.content
@@ -219,7 +219,7 @@ def test_unwritable_store_raises_config_error(tmp_path):
     blocked.mkdir()
     blocked.chmod(0o500)
     with pytest.raises(ConfigError):
-        with_cache(CountingBackend(), blocked / "store")
+        CachingBackend(CountingBackend(), blocked / "store")
 
 
 # --- HTTP backend against a local stub ------------------------------------------

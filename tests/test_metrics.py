@@ -17,6 +17,7 @@ from mpe.metrics import (
     compute_metrics,
     run_ablation,
     segment_report,
+    write_ablation_csv,
     write_plot_csv,
     write_report_csv,
 )
@@ -245,18 +246,27 @@ def test_report_csv_includes_absent_rows(tmp_path):
     records = _records(4)
     calendar = _calendar([r.date for r in records], {records[0].date})
     report = segment_report(records, calendar, "llm", AblationConfig())
-    rows = [
-        report,
-        AblationRow(AblationConfig(EventFeatures.C_T_H_PRIME, DemandFeatures.R_I), None),
-    ]
     path = tmp_path / "report.csv"
-    write_report_csv(rows, path, absent_model_name="gbdt")
+    write_report_csv([report], path)
     with open(path, newline="") as fh:
         parsed = list(csv.DictReader(fh))
     assert parsed[0]["model"] == "llm"
     assert parsed[0]["segment"] == "all"
     segments = {r["segment"] for r in parsed if r["model"] == "llm"}
     assert segments == {"all", "event", "non_event", "all_pickup", "all_dropoff"}
+
+    rows = [
+        AblationRow("llm", report.ablation, report),
+        AblationRow("gbdt", AblationConfig(EventFeatures.C_T_H_PRIME, DemandFeatures.R_I), None),
+    ]
+    path = tmp_path / "ablation_report.csv"
+    write_ablation_csv(rows, path)
+    with open(path, newline="") as fh:
+        parsed = list(csv.DictReader(fh))
+    assert parsed[0]["model"] == "llm"
+    assert parsed[0]["segment"] == "all"
+    segments = {r["segment"] for r in parsed if r["model"] == "llm"}
+    assert segments == {"all", "event", "non_event"}
     absent = [r for r in parsed if r["model"] == "gbdt"]
     assert len(absent) == 1 and absent[0]["rmse"] == ""
 

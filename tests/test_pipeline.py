@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from mpe.baselines import GbdtParams
 from mpe.decomposition import BaselineConfig
 from mpe.errors import (
     ConfigError,
@@ -15,19 +16,20 @@ from mpe.errors import (
     PreconditionError,
 )
 from mpe.events import EventRecord, parse_event_records
-from mpe.gateway import ScriptedBackend, with_cache
+from mpe.gateway import BackendConfig, CachingBackend, ScriptedBackend
 from mpe.geo import GeoPoint
 from mpe.pipeline import (
     PipelineConfig,
     artifact_path,
     build_backend,
+    config_digest,
     load_manifest,
     plan_stage,
     predict_next_day,
     run_pipeline,
     run_stage,
 )
-from mpe.prompts import AblationConfig, DemandFeatures, EventFeatures
+from mpe.prompts import DEFAULT_TEMPLATES, AblationConfig, DemandFeatures, EventFeatures
 from mpe.trips import DailyDemand, DateRange, VenueConfig
 
 from prompt_fixtures import BASE_IN, BASE_OUT
@@ -249,7 +251,7 @@ def test_cache_makes_identical_predictions_single_call(tmp_path):
     inner = ScriptedBackend({
         f"Next day: {TARGET.isoformat()}": "[pickup] 331 [dropoff] 207 [reasoning] quiet day",
     })
-    backend = with_cache(inner, tmp_path / "cache")
+    backend = CachingBackend(inner, tmp_path / "cache")
     first = predict_next_day(history, [], TARGET, config, backend)
     second = predict_next_day(history, [], TARGET, config, backend)
     assert first == second
@@ -420,3 +422,149 @@ def test_baseline_config_from_dict_round_trip():
     assert config.lookback_weeks == 6
     with pytest.raises(ValueError):
         BaselineConfig(lookback_weeks=0)
+
+
+# --- per-stage invalidation -------------------------------------------------------------
+
+
+def _fresh(small_config, tmp_path, **overrides) -> PipelineConfig:
+    """A short, cache-free run of the small dataset in its own output directory."""
+    defaults = dict(
+        output_dir=tmp_path / "out",
+        cache_dir=None,
+        test_range=DateRange(date(2021, 7, 1), date(2021, 7, 14)),
+        gbdt=GbdtParams(n_trees=20),
+    )
+    defaults.update(overrides)
+    return replace(small_config, **defaults)
+
+
+def _ran(results) -> set[str]:
+    return {r.stage for r in results if not r.skipped}
+
+
+def test_prediction_template_edit_reruns_predict(small_config, tmp_path):
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    prediction = templates / "prediction.txt"
+    prediction.write_text(DEFAULT_TEMPLATES.prediction)
+    config = _fresh(small_config, tmp_path, template_dir=templates)
+    run_pipeline(config)
+    detail = artifact_path(config, "predictions_detail").read_bytes()
+
+    prediction.write_text(DEFAULT_TEMPLATES.prediction + "\n- Mind the weather.")
+    ran = _ran(run_pipeline(config))
+    assert "predict" in ran
+    assert not ran & {"ingest", "format_events", "decompose"}
+    assert artifact_path(config, "predictions_detail").read_bytes() != detail
+
+    prediction.unlink()  # absent: the default wording applies again
+    assert "predict" in _ran(run_pipeline(config))
+    assert artifact_path(config, "predictions_detail").read_bytes() == detail
+
+
+def test_event_format_template_edit_reruns_format_events_and_downstream(
+    small_config, tmp_path
+):
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    event_format = templates / "event_format.txt"
+    event_format.write_text(DEFAULT_TEMPLATES.event_format)
+    config = _fresh(small_config, tmp_path, template_dir=templates)
+    run_pipeline(config)
+    predictions = artifact_path(config, "predictions").read_bytes()
+
+    event_format.write_text(
+        DEFAULT_TEMPLATES.event_format.replace("Title: {title}", "Title: {title} (revised)")
+    )
+    ran = _ran(run_pipeline(config))
+    assert {"format_events", "predict"} <= ran
+    assert not ran & {"ingest", "decompose"}
+    changed = artifact_path(config, "predictions").read_bytes() != predictions
+    assert ("evaluate" in ran) == changed
+
+
+def test_mock_script_edit_reruns_backend_stages(small_config, tmp_path):
+    script = tmp_path / "script.json"
+
+    def write_script(pickup):
+        script.write_text(json.dumps({
+            "Format the following public event record.":
+                "[Category] Live Event [Summary] A show.",
+            "Task: predict the daily taxi travel demand":
+                f"[pickup] {pickup} [dropoff] 200 [reasoning] steady.",
+        }))
+
+    write_script(300)
+    config = _fresh(small_config, tmp_path, backend_kind="mock", mock_script=script)
+    run_pipeline(config)
+    write_script(301)
+    ran = _ran(run_pipeline(config))
+    assert {"format_events", "predict", "evaluate", "report"} <= ran
+    assert not ran & {"ingest", "decompose"}
+    assert artifact_path(config, "predictions").read_text().splitlines()[1].startswith(
+        "2021-07-01,301,200"
+    )
+
+
+def test_gbdt_change_reruns_evaluate_only(small_config, tmp_path):
+    config = _fresh(small_config, tmp_path)
+    run_pipeline(config)
+    ran = _ran(run_pipeline(replace(config, gbdt=GbdtParams(n_trees=10))))
+    assert "evaluate" in ran
+    assert not ran & {"ingest", "format_events", "decompose", "predict"}
+
+
+def test_cache_dir_and_concurrency_changes_skip_every_stage(small_config, tmp_path):
+    config = _fresh(small_config, tmp_path)
+    run_pipeline(config)
+    for changed in (
+        replace(config, cache_dir=tmp_path / "cache"),
+        replace(config, concurrency=1),
+    ):
+        assert _ran(run_pipeline(changed)) == set()
+
+
+def test_evaluate_restores_deleted_and_corrupted_outputs(small_config, tmp_path):
+    config = _fresh(small_config, tmp_path)
+    run_pipeline(config)
+    predictions = config.output_dir / "predictions_gbdt.csv"
+    model = config.output_dir / "models" / "gbdt_out.json"
+    expected = {path: path.read_bytes() for path in (predictions, model)}
+    predictions.unlink()
+    model.write_text("{}")
+    assert "evaluate" in _ran(run_pipeline(config))
+    assert {path: path.read_bytes() for path in expected} == expected
+
+
+def test_report_reruns_after_ablate(small_config, tmp_path):
+    config = _fresh(small_config, tmp_path)
+    run_pipeline(config)
+    assert "Ablation grid" not in artifact_path(config, "summary").read_text()
+    run_stage("ablate", config)
+    assert not run_stage("report", config).skipped
+    assert "Ablation grid" in artifact_path(config, "summary").read_text()
+    assert run_stage("report", config).skipped
+
+
+def test_config_documents_read_in_every_accepted_form(small_config, tmp_path):
+    doc = small_config.to_dict()
+    flat = {k: v for k, v in doc.items() if k not in ("backend", "output_dir")}
+    flat.update(backend_kind="mock", mock_script="flat.json")
+    config = PipelineConfig.from_dict(flat, base_dir=tmp_path)
+    assert config.backend_kind == "mock"
+    assert config.mock_script == tmp_path / "flat.json"
+    assert config.output_dir == tmp_path / "out"
+    assert config.backend == BackendConfig()
+
+    nested = dict(flat, backend={"kind": "heuristic", "mock_script": "nested.json",
+                                 "retry_backoff_s": 0.5})
+    config = PipelineConfig.from_dict(nested, base_dir=tmp_path)
+    assert config.backend_kind == "heuristic"
+    assert config.mock_script == tmp_path / "nested.json"
+    assert config.backend.retry_backoff_s == 0.5
+
+    assert doc["venue"]["lat"] == small_config.venue.center.lat
+    keyed = replace(small_config, backend=BackendConfig(api_key="sk-secret"))
+    assert "sk-secret" not in json.dumps(keyed.to_dict())
+    assert config_digest(keyed) == config_digest(small_config)
