@@ -53,7 +53,6 @@ class PipelineConfig:
     time_bins: int = 24
     text_dim: int = 32
     ablate_models: tuple[str, ...] = (LLM_MODEL_NAME,)
-    extra_predictions: tuple[Path, ...] = ()
 
     def __post_init__(self):
         if self.history_days < 1:
@@ -86,11 +85,17 @@ class PipelineConfig:
 
         Relative paths resolve against `base_dir`. `backend.kind` and
         `backend.mock_script` are read in place of, and win over, the
-        top-level `backend_kind` and `mock_script`.
+        top-level `backend_kind` and `mock_script`. A removed field is an
+        error, not silently ignored.
         """
         try:
             nested = doc.get("backend") or {}
             doc = dict(doc)
+            if "extra_predictions" in doc:
+                raise ConfigError(
+                    "config field extra_predictions was removed: evaluate reports only "
+                    "predictions.csv and the classical baselines"
+                )
             if "kind" in nested:
                 doc["backend_kind"] = nested["kind"]
             if "mock_script" in nested:

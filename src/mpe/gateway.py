@@ -187,25 +187,31 @@ class HttpBackend(ChatBackend):
 
     @staticmethod
     def _parse(resp) -> ChatResponse:
+        """The completion in `resp`; any malformed body is a ProtocolError."""
         try:
             doc = resp.json()
             choice = doc["choices"][0]
             content = choice["message"]["content"]
+            if not isinstance(content, str):
+                raise TypeError(f"content is {type(content).__name__}, not a string")
+            finish = choice.get("finish_reason") or "stop"
+            usage = doc.get("usage") or {}
+            if not isinstance(usage, dict):
+                raise TypeError(f"usage is {type(usage).__name__}, not an object")
+            tokens = TokenUsage(
+                usage.get("prompt_tokens") or 0, usage.get("completion_tokens") or 0
+            )
+            if not all(type(n) is int for n in tokens):
+                raise TypeError(f"token counts are not integers: {usage}")
+            return ChatResponse(
+                content=content,
+                finish_reason=finish if finish in FINISH_REASONS else "stop",
+                usage=tokens,
+            )
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(
                 f"unintelligible completion body: {exc}", body=resp.text
             ) from exc
-        finish = choice.get("finish_reason") or "stop"
-        if finish not in FINISH_REASONS:
-            finish = "stop"
-        usage = doc.get("usage") or {}
-        return ChatResponse(
-            content=content,
-            finish_reason=finish,
-            usage=TokenUsage(
-                usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
-            ),
-        )
 
 
 class ScriptedBackend(ChatBackend):

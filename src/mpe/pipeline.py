@@ -17,7 +17,9 @@ import json
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .baselines import (
     FeaturizerConfig,
@@ -161,20 +163,16 @@ def artifact_path(config: PipelineConfig, name: str) -> Path:
     return config.output_dir / ARTIFACTS[name]
 
 
-def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _file_digest(path: Path) -> str | None:
-    """The file's digest, or None when it does not exist."""
+    """The file's SHA-256, or None when it does not exist."""
+    digest = hashlib.sha256()
     try:
-        return _sha256_file(path)
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
     except FileNotFoundError:
         return None
+    return digest.hexdigest()
 
 
 def _json_digest(value) -> str:
@@ -199,12 +197,9 @@ def _manifest_path(config: PipelineConfig) -> Path:
 
 
 def load_manifest(config: PipelineConfig) -> dict:
-    path = _manifest_path(config)
-    if not path.exists():
-        return {"stages": {}}
     try:
-        return json.loads(path.read_text())
-    except ValueError:
+        return json.loads(_manifest_path(config).read_text())
+    except (OSError, ValueError):
         return {"stages": {}}
 
 
@@ -227,6 +222,20 @@ class StageResult(NamedTuple):
 # ---------------------------------------------------------------------------
 # Shared stage helpers
 # ---------------------------------------------------------------------------
+
+
+def _write_jsonl(path: Path, lines: Iterable[str]) -> None:
+    """One JSON document per line, each already serialised."""
+    atomic_write_text(path, "".join(line + "\n" for line in lines))
+
+
+def _write_prediction_csv(rows: Iterable[tuple], model_name: str, path: Path) -> None:
+    """A predictions CSV; the caller formats the two prediction columns."""
+    with atomic_writer(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date", "pred_out", "pred_in", "model_name"])
+        for day, pred_out, pred_in in rows:
+            writer.writerow([day.isoformat(), pred_out, pred_in, model_name])
 
 
 def _load_catalog(config: PipelineConfig) -> list[EventRecord]:
@@ -286,6 +295,27 @@ def _events_for_prompt(
     return tuple(out)
 
 
+def _history_window(
+    target: date,
+    history: _History,
+    history_days: int,
+    events_of: Callable[[DayEvents], tuple],
+) -> HistoryWindow:
+    """The `history_days` days before `target`, each with its events as
+    `events_of` presents them and its decomposition."""
+    days = []
+    for offset in range(history_days, 0, -1):
+        day = target - timedelta(days=offset)
+        if day not in history.decompositions:
+            raise StageError(f"no decomposition for history day {day} (target {target})")
+        days.append(DayContext(
+            date=day,
+            events=events_of(history.calendar.get(day, DayEvents(day))),
+            decomposition=history.decompositions[day],
+        ))
+    return HistoryWindow(tuple(days))
+
+
 def _with_reminder(request: ChatRequest, reminder: str) -> ChatRequest:
     """The re-prompt after a malformed reply: the request plus a format reminder."""
     return replace(request, messages=request.messages + (ChatMessage("user", reminder),))
@@ -308,28 +338,19 @@ def _predict_day(
     templates: PromptTemplates,
 ) -> DayPrediction:
     calendar, decompositions = history.calendar, history.decompositions
-    days = []
-    for offset in range(config.history_days, 0, -1):
-        day = target - timedelta(days=offset)
-        if day not in decompositions:
-            raise StageError(f"no decomposition for history day {day} (target {target})")
-        day_events = calendar.get(day, DayEvents(day))
-        days.append(DayContext(
-            date=day,
-            events=_events_for_prompt(day_events, ablation, formatted),
-            decomposition=decompositions[day],
-        ))
-    window = HistoryWindow(tuple(days))
+    window = _history_window(
+        target, history, config.history_days,
+        lambda day_events: _events_for_prompt(day_events, ablation, formatted),
+    )
 
     if target in decompositions:
         baseline = decompositions[target].baseline
     else:
         baseline = weekday_baseline(history.demand, calendar, target, config.baseline)
 
-    target_events = calendar.get(target, DayEvents(target))
     target_context = DayContext(
         date=target,
-        events=_events_for_prompt(target_events, ablation, formatted),
+        events=_events_for_prompt(calendar.get(target, DayEvents(target)), ablation, formatted),
         decomposition=None,
     )
     request = build_prediction_prompt(
@@ -428,12 +449,9 @@ def _stage_ingest(config: PipelineConfig, _backend) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read trip source {config.trip_source}: {exc}") from exc
     write_daily_demand_csv(series, artifact_path(config, "daily_demand"))
-    reject_lines = [
-        json.dumps({"row": r.row, "reason": r.reason}, sort_keys=True) for r in rejects
-    ]
-    atomic_write_text(
+    _write_jsonl(
         artifact_path(config, "ingest_rejects"),
-        "".join(line + "\n" for line in reject_lines),
+        (json.dumps({"row": r.row, "reason": r.reason}, sort_keys=True) for r in rejects),
     )
     return {"trips": valid, "rejects": len(rejects), "days": len(series)}
 
@@ -445,7 +463,7 @@ def _stage_format_events(config: PipelineConfig, backend: ChatBackend) -> dict:
         unique.setdefault((record.title, record.description), record)
     templates = config.templates()
     entries = []
-    calls = 0
+    before = _backend_call_count(backend)
     for key in sorted(unique, key=lambda k: (k[0], k[1] or "")):
         record = unique[key]
         request = build_event_format_prompt(
@@ -456,7 +474,6 @@ def _stage_format_events(config: PipelineConfig, backend: ChatBackend) -> dict:
             temperature=config.temperature,
         )
         for attempt in (request, _with_reminder(request, EVENT_REMINDER)):
-            calls += 1
             response = backend.complete(attempt)
             try:
                 formatted = parse_formatted_event(response.content, record)
@@ -475,14 +492,15 @@ def _stage_format_events(config: PipelineConfig, backend: ChatBackend) -> dict:
         artifact_path(config, "formatted_events"),
         json.dumps(entries, indent=2, sort_keys=True, ensure_ascii=False),
     )
-    return {"events": len(catalog), "unique": len(unique), "backend_calls": calls}
+    stats = {"events": len(catalog), "unique": len(unique)}
+    if before is not None:
+        stats["backend_calls"] = _backend_call_count(backend) - before
+    return stats
 
 
 def _stage_decompose(config: PipelineConfig, _backend) -> dict:
-    series = read_daily_demand_csv(artifact_path(config, "daily_demand"))
-    demand = demand_index(series)
-    catalog = _load_catalog(config)
-    calendar = day_events_index(catalog, config.full_range)
+    demand = demand_index(read_daily_demand_csv(artifact_path(config, "daily_demand")))
+    calendar = day_events_index(_load_catalog(config), config.full_range)
     rows = []
     for day in config.full_range.days():
         if day == config.full_range.start:
@@ -494,6 +512,7 @@ def _stage_decompose(config: PipelineConfig, _backend) -> dict:
 
 
 def _backend_call_count(backend: ChatBackend) -> int | None:
+    """Calls that reached the model: cache misses, or the backend's own count."""
     if isinstance(backend, CachingBackend):
         return backend.misses
     return getattr(backend, "call_count", None)
@@ -507,41 +526,28 @@ def _run_predictions(
     formatted: Mapping[tuple[str, str | None], tuple[str, str]] | None,
     templates: PromptTemplates,
 ) -> list[DayPrediction]:
-    targets = list(config.test_range.days())
-
     def run(target: date) -> DayPrediction:
         return _predict_day(target, history, config, backend, ablation, formatted, templates)
 
-    if config.concurrency == 1:
-        return [run(t) for t in targets]
     with concurrent.futures.ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-        return list(pool.map(run, targets))
+        return list(pool.map(run, config.test_range.days()))
 
 
 def _stage_predict(config: PipelineConfig, backend: ChatBackend) -> dict:
     history = _load_history(config)
-    formatted = (
-        _formatted_lookup(config)
-        if config.ablation.event_features is EventFeatures.C_T_H_PRIME
-        else None
-    )
+    formatted = _formatted_lookup(config) if _h_prime(config) else None
     before = _backend_call_count(backend)
     predictions = _run_predictions(
         config, backend, config.ablation, history, formatted, config.templates()
     )
-    after = _backend_call_count(backend)
 
-    with atomic_writer(artifact_path(config, "predictions"), newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "pred_out", "pred_in", "model_name"])
-        for p in predictions:
-            writer.writerow([
-                p.result.date.isoformat(), p.result.pickup, p.result.dropoff, LLM_MODEL_NAME,
-            ])
-    detail_lines = []
-    failure_lines = []
-    for p in predictions:
-        detail_lines.append(json.dumps({
+    _write_prediction_csv(
+        ((p.result.date, p.result.pickup, p.result.dropoff) for p in predictions),
+        LLM_MODEL_NAME,
+        artifact_path(config, "predictions"),
+    )
+    _write_jsonl(artifact_path(config, "predictions_detail"), (
+        json.dumps({
             "date": p.result.date.isoformat(),
             "pickup": p.result.pickup,
             "dropoff": p.result.dropoff,
@@ -549,16 +555,11 @@ def _stage_predict(config: PipelineConfig, backend: ChatBackend) -> dict:
             "raw_response": p.result.raw_response,
             "fallback": p.fallback,
             "request_digest": p.request_digest,
-        }, sort_keys=True, ensure_ascii=False))
-        failure_lines.extend(p.failures)
-    atomic_write_text(
-        artifact_path(config, "predictions_detail"),
-        "".join(line + "\n" for line in detail_lines),
-    )
-    atomic_write_text(
-        artifact_path(config, "parse_failures"),
-        "".join(line + "\n" for line in failure_lines),
-    )
+        }, sort_keys=True, ensure_ascii=False)
+        for p in predictions
+    ))
+    failure_lines = [line for p in predictions for line in p.failures]
+    _write_jsonl(artifact_path(config, "parse_failures"), failure_lines)
 
     fallbacks = sum(1 for p in predictions if p.fallback)
     rate = fallbacks / len(predictions) if predictions else 0.0
@@ -568,8 +569,8 @@ def _stage_predict(config: PipelineConfig, backend: ChatBackend) -> dict:
         "fallback_rate": rate,
         "parse_failures": len(failure_lines),
     }
-    if before is not None and after is not None:
-        stats["backend_calls"] = after - before
+    if before is not None:
+        stats["backend_calls"] = _backend_call_count(backend) - before
     if rate > config.fallback_budget:
         raise FallbackBudgetError(
             f"fallback rate {rate:.3f} exceeds budget {config.fallback_budget:.3f}"
@@ -577,112 +578,76 @@ def _stage_predict(config: PipelineConfig, backend: ChatBackend) -> dict:
     return stats
 
 
-def _classical_feature_rows(
-    config: PipelineConfig,
-    targets: Sequence[date],
-    history: _History,
-    ablation: AblationConfig,
-):
-    """Feature matrix plus per-flow targets for the classical models, which
-    see raw event records only (see `_classical_ablation`)."""
-    import numpy as np
+class _ClassicalFit(NamedTuple):
+    records: list[EvalRecord]
+    models: tuple  # (outflow model, inflow model)
 
-    calendar, decompositions = history.calendar, history.decompositions
+
+def _fit_classical(
+    config: PipelineConfig,
+    ablation: AblationConfig,
+    history: _History,
+    kinds: Sequence[str],
+) -> dict[str, _ClassicalFit]:
+    """Fit each of `kinds` ("linear", "gbdt") on the train range, predict
+    the test range and join with truth. Each feature matrix is built once;
+    classical models see raw event records only (see `_classical_ablation`)."""
+    demand, decompositions = history.demand, history.decompositions
     feat_config = FeaturizerConfig(
         lag_days=config.history_days,
         time_bins=config.time_bins,
         text_dim=config.text_dim,
         ablation=ablation,
     )
-    rows, y_out, y_in, kept = [], [], [], []
-    for target in targets:
-        days = []
-        ok = True
-        for offset in range(config.history_days, 0, -1):
-            day = target - timedelta(days=offset)
-            if day not in decompositions:
-                ok = False
-                break
-            days.append(DayContext(
-                date=day,
-                events=calendar.get(day, DayEvents(day)).events,
-                decomposition=decompositions[day],
-            ))
-        if not ok:
-            continue
-        window = HistoryWindow(tuple(days))
-        target_events = calendar.get(target, DayEvents(target))
-        rows.append(featurize_day(window, target_events, feat_config))
-        kept.append(target)
-        if target in decompositions:
-            dec = decompositions[target]
-            if ablation.demand_features is DemandFeatures.R_I:
-                y_out.append(dec.deviation.outflow)
-                y_in.append(dec.deviation.inflow)
-            else:
-                y_out.append(float(dec.actual.outflow))
-                y_in.append(float(dec.actual.inflow))
-        else:
-            y_out.append(float("nan"))
-            y_in.append(float("nan"))
-    X = np.array(rows) if rows else np.empty((0, 0))
-    return X, np.array(y_out), np.array(y_in), kept
 
+    def features(targets: Sequence[date]) -> np.ndarray:
+        return np.array([
+            featurize_day(
+                _history_window(target, history, config.history_days, lambda e: e.events),
+                history.calendar.get(target, DayEvents(target)),
+                feat_config,
+            )
+            for target in targets
+        ])
 
-def _classical_records(
-    config: PipelineConfig,
-    model_kind: str,
-    ablation: AblationConfig,
-    history: _History,
-    save_models: bool = False,
-) -> list[EvalRecord]:
-    """Train on the train range, predict the test range, join with truth."""
-    demand, decompositions = history.demand, history.decompositions
     train_targets = [
         d for d in config.train_range.days()
         if (d - config.train_range.start).days > config.history_days
     ]
-    test_targets = list(config.test_range.days())
-
-    if model_kind == "historical_average":
-        records = []
-        for target in test_targets:
-            baseline = decompositions[target].baseline
-            records.append(EvalRecord(target, demand[target], baseline))
-        return records
-
-    X_train, y_out, y_in, _ = _classical_feature_rows(config, train_targets, history, ablation)
-    if X_train.shape[0] < 2:
+    if len(train_targets) < 2:
         raise StageError("not enough training rows for classical baselines")
-    X_test, _, _, kept = _classical_feature_rows(config, test_targets, history, ablation)
+    test_targets = list(config.test_range.days())
+    X_train, X_test = features(train_targets), features(test_targets)
+    residual = ablation.demand_features is DemandFeatures.R_I
+    y = [
+        decompositions[d].deviation if residual else decompositions[d].actual
+        for d in train_targets
+    ]
+    y_out = np.array([float(f.outflow) for f in y])
+    y_in = np.array([float(f.inflow) for f in y])
 
-    if model_kind == "linear":
-        model_out = fit_linear(X_train, y_out, config.linear_ridge_lambda)
-        model_in = fit_linear(X_train, y_in, config.linear_ridge_lambda)
-        predict = predict_linear
-    elif model_kind == "gbdt":
-        model_out = fit_gbdt(X_train, y_out, config.gbdt)
-        model_in = fit_gbdt(X_train, y_in, config.gbdt)
-        predict = predict_gbdt
-    else:
-        raise StageError(f"unknown classical model: {model_kind}")
-
-    if save_models:
-        save_model(model_out, artifact_path(config, f"model_{model_kind}_out"))
-        save_model(model_in, artifact_path(config, f"model_{model_kind}_in"))
-
-    records = []
-    for target, x in zip(kept, X_test):
-        pred_out = predict(model_out, x)
-        pred_in = predict(model_in, x)
-        if ablation.demand_features is DemandFeatures.R_I:
-            baseline = decompositions[target].baseline
-            pred_out += baseline.outflow
-            pred_in += baseline.inflow
-        records.append(EvalRecord(
-            target, demand[target], Flows(max(0.0, pred_out), max(0.0, pred_in))
-        ))
-    return records
+    fits = {}
+    for kind in kinds:
+        if kind == "linear":
+            fit, params, predict = fit_linear, config.linear_ridge_lambda, predict_linear
+        elif kind == "gbdt":
+            fit, params, predict = fit_gbdt, config.gbdt, predict_gbdt
+        else:
+            raise StageError(f"unknown classical model: {kind}")
+        models = (fit(X_train, y_out, params), fit(X_train, y_in, params))
+        records = []
+        for target, x in zip(test_targets, X_test):
+            pred_out = predict(models[0], x)
+            pred_in = predict(models[1], x)
+            if residual:
+                baseline = decompositions[target].baseline
+                pred_out += baseline.outflow
+                pred_in += baseline.inflow
+            records.append(EvalRecord(
+                target, demand[target], Flows(max(0.0, pred_out), max(0.0, pred_in))
+            ))
+        fits[kind] = _ClassicalFit(records, models)
+    return fits
 
 
 def _classical_ablation(ablation: AblationConfig) -> AblationConfig:
@@ -692,60 +657,46 @@ def _classical_ablation(ablation: AblationConfig) -> AblationConfig:
     return ablation
 
 
-def _read_prediction_csv(path: Path) -> dict[str, list[tuple[date, Flows]]]:
-    by_model: dict[str, list[tuple[date, Flows]]] = {}
+def _read_prediction_csv(path: Path) -> list[tuple[date, Flows]]:
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            by_model.setdefault(row["model_name"], []).append(
-                (date.fromisoformat(row["date"]),
-                 Flows(float(row["pred_out"]), float(row["pred_in"])))
-            )
-    return by_model
-
-
-def _write_prediction_csv(records: Sequence[EvalRecord], model_name: str, path: Path) -> None:
-    with atomic_writer(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "pred_out", "pred_in", "model_name"])
-        for rec in records:
-            writer.writerow([
-                rec.date.isoformat(),
-                f"{rec.pred.outflow:.6f}",
-                f"{rec.pred.inflow:.6f}",
-                model_name,
-            ])
+        return [
+            (date.fromisoformat(row["date"]),
+             Flows(float(row["pred_out"]), float(row["pred_in"])))
+            for row in csv.DictReader(fh)
+        ]
 
 
 def _stage_evaluate(config: PipelineConfig, _backend) -> dict:
     history = _load_history(config)
     demand, calendar = history.demand, history.calendar
 
-    reports = []
-    llm_records = []
-    for model_name, rows in sorted(_read_prediction_csv(artifact_path(config, "predictions")).items()):
-        records = [EvalRecord(d, demand[d], pred) for d, pred in rows]
-        reports.append(segment_report(records, calendar, model_name, config.ablation))
-        if model_name == LLM_MODEL_NAME:
-            llm_records = records
+    llm_records = [
+        EvalRecord(d, demand[d], pred)
+        for d, pred in _read_prediction_csv(artifact_path(config, "predictions"))
+    ]
+    reports = [segment_report(llm_records, calendar, LLM_MODEL_NAME, config.ablation)]
 
     classical_ablation = _classical_ablation(config.ablation)
+    fits = _fit_classical(config, classical_ablation, history, ("linear", "gbdt"))
+    for model_kind, fit in fits.items():
+        for flow, model in zip(("out", "in"), fit.models):
+            save_model(model, artifact_path(config, f"model_{model_kind}_{flow}"))
+    by_model = {kind: fit.records for kind, fit in fits.items()}
+    by_model["historical_average"] = [
+        EvalRecord(d, demand[d], history.decompositions[d].baseline)
+        for d in config.test_range.days()
+    ]
     for model_kind in CLASSICAL_MODELS:
-        records = _classical_records(
-            config, model_kind, classical_ablation, history, save_models=True
-        )
+        records = by_model[model_kind]
         reports.append(segment_report(records, calendar, model_kind, classical_ablation))
         _write_prediction_csv(
-            records, model_kind, artifact_path(config, f"predictions_{model_kind}")
+            ((r.date, f"{r.pred.outflow:.6f}", f"{r.pred.inflow:.6f}") for r in records),
+            model_kind,
+            artifact_path(config, f"predictions_{model_kind}"),
         )
 
-    for extra in config.extra_predictions:
-        for model_name, rows in sorted(_read_prediction_csv(Path(extra)).items()):
-            records = [EvalRecord(d, demand[d], pred) for d, pred in rows]
-            reports.append(segment_report(records, calendar, model_name, config.ablation))
-
     write_report_csv(reports, artifact_path(config, "report"))
-    if llm_records:
-        write_plot_csv(llm_records, calendar, artifact_path(config, "plot_data"))
+    write_plot_csv(llm_records, calendar, artifact_path(config, "plot_data"))
     return {
         "models": len(reports),
         "mape_excluded": {r.model_name: r.all_days.mape_excluded for r in reports},
@@ -758,22 +709,17 @@ def _stage_ablate(config: PipelineConfig, backend: ChatBackend) -> dict:
     templates = config.templates()
 
     def llm_runner(ablation: AblationConfig) -> list[EvalRecord]:
-        predictions = _run_predictions(
-            config, backend, ablation, history, formatted, templates
-        )
+        predictions = _run_predictions(config, backend, ablation, history, formatted, templates)
         return [
-            EvalRecord(
-                p.result.date,
-                history.demand[p.result.date],
-                Flows(float(p.result.pickup), float(p.result.dropoff)),
-            )
+            EvalRecord(p.result.date, history.demand[p.result.date],
+                       Flows(float(p.result.pickup), float(p.result.dropoff)))
             for p in predictions
         ]
 
     def gbdt_runner(ablation: AblationConfig) -> list[EvalRecord] | None:
         if ablation.event_features is EventFeatures.C_T_H_PRIME:
             return None  # not applicable for classical baselines
-        return _classical_records(config, "gbdt", ablation, history)
+        return _fit_classical(config, ablation, history, ("gbdt",))["gbdt"].records
 
     rows: list[AblationRow] = []
     for model_name in config.ablate_models:
@@ -789,38 +735,33 @@ def _stage_ablate(config: PipelineConfig, backend: ChatBackend) -> dict:
 
 
 def _stage_report(config: PipelineConfig, _backend) -> dict:
-    lines = ["Travel demand prediction summary", "=" * 34, ""]
-    lines.append(f"Venue: {config.venue.name}")
-    lines.append(
+    lines = [
+        "Travel demand prediction summary", "=" * 34, "",
+        f"Venue: {config.venue.name}",
         f"Test range: {config.test_range.start} .. {config.test_range.end}"
-        f" ({config.test_range.n_days} days)"
-    )
-    lines.append(f"Ablation: {config.ablation.name}")
-    lines.append("")
-    lines.append("Model performance (pooled pickups + dropoffs):")
+        f" ({config.test_range.n_days} days)",
+        f"Ablation: {config.ablation.name}",
+        "",
+        "Model performance (pooled pickups + dropoffs):",
+    ]
     with open(artifact_path(config, "report"), newline="") as fh:
         for row in csv.DictReader(fh):
             if row["segment"] not in ("all", "event", "non_event"):
                 continue
-            mape = row["mape"] or "n/a"
-            r2 = row["r2"] or "n/a"
             lines.append(
                 f"  {row['model']:<20} {row['ablation']:<16} {row['segment']:<10}"
                 f" n={row['n']:<5} rmse={row['rmse']:<11} mae={row['mae']:<11}"
-                f" mape={mape:<9} r2={r2}"
+                f" mape={row['mape'] or 'n/a':<9} r2={row['r2'] or 'n/a'}"
             )
-    manifest = load_manifest(config)
-    predict_stats = manifest.get("stages", {}).get("predict", {}).get("stats", {})
+    stages = load_manifest(config).get("stages", {})
+    predict_stats = stages.get("predict", {}).get("stats", {})
     if predict_stats:
-        lines.append("")
-        lines.append(
+        lines += [
+            "",
             f"Prediction fallback rate: {predict_stats.get('fallback_rate', 0.0):.4f}"
-            f" ({predict_stats.get('fallbacks', 0)} of {predict_stats.get('days', 0)} days)"
-        )
-    excluded = (
-        manifest.get("stages", {}).get("evaluate", {}).get("stats", {})
-        .get("mape_excluded", {})
-    )
+            f" ({predict_stats.get('fallbacks', 0)} of {predict_stats.get('days', 0)} days)",
+        ]
+    excluded = stages.get("evaluate", {}).get("stats", {}).get("mape_excluded", {})
     skipped = {m: n for m, n in sorted(excluded.items()) if n}
     if skipped:
         lines.append(
@@ -829,8 +770,7 @@ def _stage_report(config: PipelineConfig, _backend) -> dict:
         )
     ablation_path = artifact_path(config, "ablation_report")
     if ablation_path.exists():
-        lines.append("")
-        lines.append("Ablation grid (event-day rows):")
+        lines += ["", "Ablation grid (event-day rows):"]
         with open(ablation_path, newline="") as fh:
             for row in csv.DictReader(fh):
                 if row["segment"] == "all" and row["n"] == "":
@@ -933,7 +873,7 @@ _STAGE_DEFS: dict[str, StageDef] = {
         config=(*_RANGES, "history_days", "ablation", "linear_ridge_lambda", "gbdt",
                 "time_bins", "text_dim"),
         reads=lambda c: [
-            c.event_source, *c.extra_predictions, "daily_demand", "decomposition", "predictions",
+            c.event_source, "daily_demand", "decomposition", "predictions",
         ],
         writes=(
             "report", "plot_data", "predictions_historical_average", "predictions_linear",
@@ -976,16 +916,16 @@ def _input_digests(stage: str, config: PipelineConfig, manifest: dict) -> dict[s
     digests: dict[str, str | None] = {}
     for item in stage_def.reads(config):
         path = artifact_path(config, item) if isinstance(item, str) else Path(item)
-        if path.exists():
-            digests[str(path)] = _sha256_file(path)
-        elif isinstance(item, str):
+        digests[str(path)] = _file_digest(path)
+        if digests[str(path)] is not None:
+            continue
+        if isinstance(item, str):
             producer = _PRODUCERS[item]
             raise PreconditionError(
                 f"{stage}: missing {path.name}; run `{producer}` first",
                 required_stage=producer,
             )
-        else:
-            raise ConfigError(f"{stage}: source file not found: {path}")
+        raise ConfigError(f"{stage}: source file not found: {path}")
     for item in stage_def.reads_if_present(config):
         path = artifact_path(config, item) if isinstance(item, str) else Path(item)
         digests[str(path)] = _file_digest(path)

@@ -249,7 +249,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(b"nope")
             return
-        payload = {
+        payload = type(self).script["payload"] or {
             "choices": [{"message": {"content": "live reply"}, "finish_reason": "stop"}],
             "usage": {"prompt_tokens": 7, "completion_tokens": 2},
         }
@@ -267,12 +267,15 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def stub_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for the serve loop's next poll, so a short poll keeps
+    # teardown fast (the default 0.5 s adds half a second to every test).
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
-    _StubHandler.script = {"fail_times": 0, "status": 200}
+    _StubHandler.script = {"fail_times": 0, "status": 200, "payload": None}
     _StubHandler.seen = []
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 def _http_backend(base_url, retries=2):
@@ -321,6 +324,39 @@ def test_http_backend_retryable_status_exhausts_to_protocol_error(stub_server):
         backend.complete(_request("always 503"))
     assert info.value.status == 503
     assert len(_StubHandler.seen) == 2  # max_retries + 1 attempts
+
+
+def _completion(content, usage=None):
+    return {
+        "choices": [{"message": {"content": content}, "finish_reason": "stop"}],
+        "usage": usage,
+    }
+
+
+@pytest.mark.parametrize("payload", [
+    _completion(None),
+    _completion(""),
+    _completion(42),
+    _completion("ok", usage=[7, 2]),
+    _completion("ok", usage={"prompt_tokens": "7", "completion_tokens": 2}),
+], ids=["null-content", "empty-content", "number-content", "list-usage", "text-tokens"])
+def test_http_backend_malformed_completion_is_protocol_error(stub_server, payload):
+    _StubHandler.script["payload"] = payload
+    backend = _http_backend(stub_server)
+    with pytest.raises(ProtocolError) as info:
+        backend.complete(_request("malformed"))
+    assert info.value.exit_code == 4
+    assert len(_StubHandler.seen) == 1  # a malformed body is terminal, not retried
+
+
+def test_http_backend_accepts_truncated_empty_content_and_null_usage(stub_server):
+    _StubHandler.script["payload"] = {
+        "choices": [{"message": {"content": ""}, "finish_reason": "length"}],
+        "usage": {"prompt_tokens": None, "completion_tokens": None},
+    }
+    response = _http_backend(stub_server).complete(_request("truncated"))
+    assert (response.content, response.finish_reason) == ("", "length")
+    assert response.usage == TokenUsage(0, 0)
 
 
 def test_http_backend_transport_error_after_retries():

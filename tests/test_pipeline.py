@@ -1,6 +1,8 @@
 """Orchestration: config, stage dependencies, prediction flow, manifest."""
 
+import csv
 import json
+import re
 from dataclasses import replace
 from datetime import date, time, timedelta
 from pathlib import Path
@@ -19,6 +21,7 @@ from mpe.events import EventRecord, parse_event_records
 from mpe.gateway import BackendConfig, CachingBackend, ScriptedBackend
 from mpe.geo import GeoPoint
 from mpe.pipeline import (
+    STAGES,
     PipelineConfig,
     artifact_path,
     build_backend,
@@ -537,6 +540,43 @@ def test_evaluate_restores_deleted_and_corrupted_outputs(small_config, tmp_path)
     assert {path: path.read_bytes() for path in expected} == expected
 
 
+def test_format_events_counts_only_calls_that_reach_the_model(small_config, tmp_path):
+    config = _fresh(small_config, tmp_path, cache_dir=tmp_path / "cache")
+    cold = run_stage("format_events", config)
+    assert cold.stats["backend_calls"] >= cold.stats["unique"] > 0
+    artifact_path(config, "formatted_events").unlink()
+    warm = run_stage("format_events", config)  # every reply is in the cache
+    assert not warm.skipped
+    assert warm.stats["backend_calls"] == 0
+
+
+def test_gbdt_ablation_grid(small_config, tmp_path):
+    config = _fresh(small_config, tmp_path, ablate_models=("llm", "gbdt"),
+                    gbdt=GbdtParams(n_trees=5))
+    assert config.ablation.name == "c_t_h_prime/r_i"  # evaluate's gbdt runs at c_t_h/r_i
+    results = {r.stage: r for r in run_pipeline(config, STAGES)}
+    assert results["ablate"].stats["configs"] == 12
+
+    def rows(name):
+        with open(artifact_path(config, name), newline="") as fh:
+            return [r for r in csv.DictReader(fh) if r["model"] == "gbdt"]
+
+    grid = rows("ablation_report")
+    assert len({r["ablation"] for r in grid}) == 6
+    assert [r for r in grid if r["ablation"] == "c_t_h_prime/r_i"] == [{
+        "model": "gbdt", "ablation": "c_t_h_prime/r_i", "segment": "all",
+        "n": "", "rmse": "", "mae": "", "mape": "", "r2": "",
+    }]
+    summary = artifact_path(config, "summary").read_text()
+    assert re.search(r"gbdt +c_t_h_prime/r_i +not applicable", summary)
+
+    segments = ("all", "event", "non_event")
+    from_grid = [r for r in grid if r["ablation"] == "c_t_h/r_i" and r["segment"] in segments]
+    from_evaluate = [r for r in rows("report") if r["segment"] in segments]
+    assert [r["segment"] for r in from_grid] == list(segments)
+    assert from_grid == from_evaluate
+
+
 def test_report_reruns_after_ablate(small_config, tmp_path):
     config = _fresh(small_config, tmp_path)
     run_pipeline(config)
@@ -568,3 +608,9 @@ def test_config_documents_read_in_every_accepted_form(small_config, tmp_path):
     keyed = replace(small_config, backend=BackendConfig(api_key="sk-secret"))
     assert "sk-secret" not in json.dumps(keyed.to_dict())
     assert config_digest(keyed) == config_digest(small_config)
+
+
+def test_removed_extra_predictions_field_is_an_error(small_config, tmp_path):
+    doc = dict(small_config.to_dict(), extra_predictions=["other.csv"])
+    with pytest.raises(ConfigError, match="extra_predictions"):
+        PipelineConfig.from_dict(doc, base_dir=tmp_path)
