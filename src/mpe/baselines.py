@@ -5,7 +5,8 @@ zero-padded): lagged demand (2 x lag_days, oldest first, out then in per
 day; deviations under r_i, raw demand under o), target weekday one-hot
 (7, Monday first), then per the event-features level an event count (1),
 a time-of-day occupancy over time_bins, and a hashed bag-of-words block
-(text_dim) for raw text under h or formatted text under h'.
+(text_dim) for raw text under h. The h' level (LLM-formatted events) has
+no classical features.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .events import DayEvents, FormattedEvent
+from .events import DayEvents
 from .ioutil import atomic_writer
 from .prompts import AblationConfig, DemandFeatures, EventFeatures, HistoryWindow
 
@@ -82,13 +82,14 @@ def featurize_day(
     window: HistoryWindow,
     target_events: DayEvents,
     config: FeaturizerConfig,
-    target_formatted: Sequence[FormattedEvent] | None = None,
 ) -> np.ndarray:
     """Feature vector for predicting the day after the window.
 
-    Causal by construction: the target day's demand never appears. Under
-    the h' ablation the formatted events for the target day must be given.
+    Causal by construction: the target day's demand never appears. Raises
+    ValueError under the h' ablation, which has no classical features.
     """
+    if config.ablation.event_features is EventFeatures.C_T_H_PRIME:
+        raise ValueError("classical features have no c_t_h_prime level; use c_t_h")
     if window.t != config.lag_days:
         raise ValueError(
             f"window length {window.t} != configured lag_days {config.lag_days}"
@@ -116,15 +117,10 @@ def featurize_day(
     level = config.ablation.event_features
     if level is not EventFeatures.NA:
         blocks.append(np.array([float(len(target_events.events))]))
-    if level in (EventFeatures.C_T, EventFeatures.C_T_H, EventFeatures.C_T_H_PRIME):
+    if level in (EventFeatures.C_T, EventFeatures.C_T_H):
         blocks.append(_time_bin_occupancy(target_events, config.time_bins))
     if level is EventFeatures.C_T_H:
         blocks.append(hashed_text_vector(_event_text(target_events), config.text_dim))
-    elif level is EventFeatures.C_T_H_PRIME:
-        if target_formatted is None:
-            raise ValueError("formatted events required under the c_t_h_prime ablation")
-        text = " ".join(f"{fe.category} {fe.summary}" for fe in target_formatted)
-        blocks.append(hashed_text_vector(text, config.text_dim))
     return np.concatenate(blocks)
 
 

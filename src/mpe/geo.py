@@ -22,9 +22,6 @@ class GeoPoint:
         if not (-180.0 <= self.lon <= 180.0):
             raise ValueError(f"longitude out of range [-180, 180]: {self.lon}")
 
-    def is_null_island(self) -> bool:
-        return self.lat == 0.0 and self.lon == 0.0
-
 
 def haversine_m(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance in meters on a sphere of radius 6,371,000 m."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, timezone
@@ -62,7 +63,6 @@ from .gateway import (
     ScriptedBackend,
     cache_key,
 )
-from .geo import bounding_box
 from .heuristic import HeuristicBackend
 from .ioutil import atomic_write_text, atomic_writer
 from .metrics import (
@@ -102,7 +102,6 @@ from .trips import (
     demand_index,
     iter_trip_rows,
     read_daily_demand_csv,
-    trip_record,
     write_daily_demand_csv,
 )
 
@@ -180,18 +179,6 @@ def _json_digest(value) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def config_digest(config: PipelineConfig) -> str:
-    """Digest of the whole config; recorded in the manifest, not used to skip."""
-    return _json_digest(config.to_dict())
-
-
-def template_digest(config: PipelineConfig) -> str:
-    """Digest of the prompt templates; recorded in the manifest, not used to skip."""
-    templates = config.templates()
-    blob = templates.event_format + "\x00" + templates.prediction
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 def _manifest_path(config: PipelineConfig) -> Path:
     return config.output_dir / "manifest.json"
 
@@ -204,8 +191,6 @@ def load_manifest(config: PipelineConfig) -> dict:
 
 
 def save_manifest(config: PipelineConfig, manifest: dict) -> None:
-    manifest["config_digest"] = config_digest(config)
-    manifest["template_digest"] = template_digest(config)
     manifest["backend"] = config.backend_kind
     atomic_write_text(
         _manifest_path(config), json.dumps(manifest, indent=2, sort_keys=True)
@@ -310,7 +295,7 @@ def _history_window(
             raise StageError(f"no decomposition for history day {day} (target {target})")
         days.append(DayContext(
             date=day,
-            events=events_of(history.calendar.get(day, DayEvents(day))),
+            events=events_of(history.calendar[day]),
             decomposition=history.decompositions[day],
         ))
     return HistoryWindow(tuple(days))
@@ -350,7 +335,7 @@ def _predict_day(
 
     target_context = DayContext(
         date=target,
-        events=_events_for_prompt(calendar.get(target, DayEvents(target)), ablation, formatted),
+        events=_events_for_prompt(calendar[target], ablation, formatted),
         decomposition=None,
     )
     request = build_prediction_prompt(
@@ -426,26 +411,12 @@ def predict_next_day(
 
 
 def _stage_ingest(config: PipelineConfig, _backend) -> dict:
-    venue = config.venue
-    box = bounding_box(venue.center, venue.radius_m)
     rejects: list[RejectionNote] = []
-    valid = 0
-
-    def near_venue(rows):
-        # Only a row with an end inside the box can count; the exact
-        # haversine in aggregate_daily_demand decides each one that does.
-        nonlocal valid
-        for row in rows:
-            valid += 1
-            _, _, plat, plon, dlat, dlon = row
-            if box.contains(plat, plon) or box.contains(dlat, dlon):
-                yield trip_record(row)
-
+    valid = itertools.count()  # zip below advances it once per valid row
     try:
         with open(config.trip_source, newline="") as fh:
-            series = aggregate_daily_demand(
-                near_venue(iter_trip_rows(fh, rejects)), venue, config.full_range
-            )
+            rows = (row for row, _ in zip(iter_trip_rows(fh, rejects), valid))
+            series = aggregate_daily_demand(rows, config.venue, config.full_range)
     except OSError as exc:
         raise ConfigError(f"cannot read trip source {config.trip_source}: {exc}") from exc
     write_daily_demand_csv(series, artifact_path(config, "daily_demand"))
@@ -453,7 +424,7 @@ def _stage_ingest(config: PipelineConfig, _backend) -> dict:
         artifact_path(config, "ingest_rejects"),
         (json.dumps({"row": r.row, "reason": r.reason}, sort_keys=True) for r in rejects),
     )
-    return {"trips": valid, "rejects": len(rejects), "days": len(series)}
+    return {"trips": next(valid), "rejects": len(rejects), "days": len(series)}
 
 
 def _stage_format_events(config: PipelineConfig, backend: ChatBackend) -> dict:
@@ -604,7 +575,7 @@ def _fit_classical(
         return np.array([
             featurize_day(
                 _history_window(target, history, config.history_days, lambda e: e.events),
-                history.calendar.get(target, DayEvents(target)),
+                history.calendar[target],
                 feat_config,
             )
             for target in targets

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 from zoneinfo import ZoneInfo
 
 from .errors import SchemaError
-from .geo import GeoPoint, haversine_m
+from .geo import GeoPoint, bounding_box, haversine_m
 from .ioutil import atomic_writer
 
 REQUIRED_COLUMNS = (
@@ -31,20 +31,15 @@ REQUIRED_COLUMNS = (
 MAX_TRIP_DURATION = timedelta(hours=12)
 
 
-@dataclass(frozen=True)
-class TripRecord:
-    """One taxi trip; immutable and validated at construction."""
+class TripRecord(NamedTuple):
+    """One validated taxi trip, in the field order iter_trip_rows yields."""
 
     pickup_time: datetime
     dropoff_time: datetime
-    pickup_point: GeoPoint
-    dropoff_point: GeoPoint
-
-    def __post_init__(self):
-        if self.dropoff_time < self.pickup_time:
-            raise ValueError("dropoff_time before pickup_time")
-        if self.pickup_point.is_null_island() or self.dropoff_point.is_null_island():
-            raise ValueError("null-island sentinel coordinates")
+    pickup_lat: float
+    pickup_lon: float
+    dropoff_lat: float
+    dropoff_lon: float
 
 
 @dataclass(frozen=True)
@@ -107,10 +102,6 @@ class RejectionNote(NamedTuple):
     reason: str
 
 
-# (pickup_time, dropoff_time, pickup_lat, pickup_lon, dropoff_lat, dropoff_lon)
-TripRow = tuple[datetime, datetime, float, float, float, float]
-
-
 def _parse_timestamp(raw: str) -> datetime:
     ts = datetime.fromisoformat(raw.strip())
     if ts.tzinfo is not None:
@@ -121,15 +112,16 @@ def _parse_timestamp(raw: str) -> datetime:
 def iter_trip_rows(
     source: TextIO | Iterable[str],
     rejects: list[RejectionNote],
-) -> Iterator[TripRow]:
+) -> Iterator[tuple]:
     """Validate the trip CSV row by row, in input order.
 
-    Yields each well-formed row as a plain tuple and appends a
-    RejectionNote with its 1-based data-row number and a reason to
-    `rejects` for each malformed one. Blank lines are skipped and not
-    numbered; a short row reads its missing fields as empty; when a column
-    name repeats, its last occurrence is used. A header missing any
-    required column is fatal (SchemaError, raised on first iteration).
+    Yields each well-formed row as a plain tuple in TripRecord's field
+    order, building no object per row, and appends a RejectionNote with
+    its 1-based data-row number and a reason to `rejects` for each
+    malformed one. Blank lines are skipped and not numbered; a short row
+    reads its missing fields as empty; when a column name repeats, its last
+    occurrence is used. A header missing any required column is fatal
+    (SchemaError, raised on first iteration).
     """
     reader = csv.reader(source)
     header = next(reader, None)
@@ -182,42 +174,44 @@ def iter_trip_rows(
         yield pickup_time, dropoff_time, plat, plon, dlat, dlon
 
 
-def trip_record(row: TripRow) -> TripRecord:
-    pickup_time, dropoff_time, plat, plon, dlat, dlon = row
-    return TripRecord(pickup_time, dropoff_time, GeoPoint(plat, plon), GeoPoint(dlat, dlon))
-
-
 def parse_trip_records(
     source: TextIO | Iterable[str],
 ) -> tuple[list[TripRecord], list[RejectionNote]]:
     """Parse the whole trip CSV into TripRecords (see iter_trip_rows)."""
     rejects: list[RejectionNote] = []
-    records = [trip_record(row) for row in iter_trip_rows(source, rejects)]
+    records = list(map(TripRecord._make, iter_trip_rows(source, rejects)))
     return records, rejects
 
 
 def aggregate_daily_demand(
-    trips: Iterable[TripRecord],
+    trips: Iterable[tuple],
     venue: VenueConfig,
     date_range: DateRange,
 ) -> list[DailyDemand]:
     """Aggregate trips into one DailyDemand per calendar day in the range.
 
-    A trip increments the outflow of its pickup date when the pickup point
-    is within the venue radius, and the inflow of its dropoff date when the
-    dropoff point is; a trip inside the radius at both ends counts once in
-    each flow. Days with no qualifying trips emit (0, 0). Timestamps are
+    `trips` holds TripRecords or plain tuples in their field order, such as
+    iter_trip_rows yields. A trip increments the outflow of its pickup date
+    when the pickup point is within the venue radius, and the inflow of its
+    dropoff date when the dropoff point is; a trip inside the radius at both
+    ends counts once in each flow. Only an end inside the venue's bounding
+    box can be within the radius, and the exact haversine_m decides each
+    such end. Days with no qualifying trips emit (0, 0). Timestamps are
     venue-local by the CSV contract, so date attribution is direct.
     """
+    center, radius_m = venue.center, venue.radius_m
+    lat_min, lat_max, lon_min, lon_max = bounding_box(center, radius_m)
     outflow: dict[date, int] = {d: 0 for d in date_range.days()}
     inflow: dict[date, int] = {d: 0 for d in date_range.days()}
-    for trip in trips:
-        pd = trip.pickup_time.date()
-        if pd in outflow and haversine_m(trip.pickup_point, venue.center) <= venue.radius_m:
-            outflow[pd] += 1
-        dd = trip.dropoff_time.date()
-        if dd in inflow and haversine_m(trip.dropoff_point, venue.center) <= venue.radius_m:
-            inflow[dd] += 1
+    for pickup_time, dropoff_time, plat, plon, dlat, dlon in trips:
+        if lat_min <= plat <= lat_max and lon_min <= plon <= lon_max:
+            pd = pickup_time.date()
+            if pd in outflow and haversine_m(GeoPoint(plat, plon), center) <= radius_m:
+                outflow[pd] += 1
+        if lat_min <= dlat <= lat_max and lon_min <= dlon <= lon_max:
+            dd = dropoff_time.date()
+            if dd in inflow and haversine_m(GeoPoint(dlat, dlon), center) <= radius_m:
+                inflow[dd] += 1
     return [DailyDemand(d, outflow[d], inflow[d]) for d in date_range.days()]
 
 

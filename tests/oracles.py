@@ -77,7 +77,8 @@ def _reference_parse_timestamp(raw):
 
 def reference_parse_trip_records(source):
     """The trip CSV parser over ``csv.DictReader`` rows, checking each row
-    in turn and building every TripRecord through GeoPoint validation.
+    in turn and validating both ends through GeoPoint before building each
+    TripRecord.
 
     ``mpe.trips.iter_trip_rows`` reads plain ``csv.reader`` rows by column
     index instead and must give the same records and rejects.
@@ -111,8 +112,8 @@ def reference_parse_trip_records(source):
             rejects.append(RejectionNote(i, "null-island sentinel"))
             continue
         try:
-            pickup_point = GeoPoint(plat, plon)
-            dropoff_point = GeoPoint(dlat, dlon)
+            GeoPoint(plat, plon)
+            GeoPoint(dlat, dlon)
         except ValueError:
             rejects.append(RejectionNote(i, "coordinate out of range"))
             continue
@@ -122,7 +123,7 @@ def reference_parse_trip_records(source):
         if dropoff_time - pickup_time > timedelta(hours=12):
             rejects.append(RejectionNote(i, "trip longer than 12 hours"))
             continue
-        records.append(TripRecord(pickup_time, dropoff_time, pickup_point, dropoff_point))
+        records.append(TripRecord(pickup_time, dropoff_time, plat, plon, dlat, dlon))
     return records, rejects
 
 

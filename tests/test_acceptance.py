@@ -352,16 +352,13 @@ def test_criterion_8_ingestion_correctness():
             dropoff_dt = pickup_dt + timedelta(minutes=rng.randrange(5, 90))
             trips.append(TripRecord(
                 pickup_dt, dropoff_dt,
-                GeoPoint(40.7 + rng.uniform(-0.008, 0.008), -73.95 + rng.uniform(-0.008, 0.008)),
-                GeoPoint(40.7 + rng.uniform(-0.008, 0.008), -73.95 + rng.uniform(-0.008, 0.008)),
+                40.7 + rng.uniform(-0.008, 0.008), -73.95 + rng.uniform(-0.008, 0.008),
+                40.7 + rng.uniform(-0.008, 0.008), -73.95 + rng.uniform(-0.008, 0.008),
             ))
         date_range = DateRange(start, start + timedelta(days=9))
         series = aggregate_daily_demand(trips, venue, date_range)
-        raw = [(t.pickup_time, t.dropoff_time,
-                t.pickup_point.lat, t.pickup_point.lon,
-                t.dropoff_point.lat, t.dropoff_point.lon) for t in trips]
         expected = oracles.brute_force_daily_counts(
-            raw, 40.7, -73.95, 220.0, date_range.start, date_range.end
+            trips, 40.7, -73.95, 220.0, date_range.start, date_range.end
         )
         for row in series:
             assert [row.outflow, row.inflow] == expected[row.date]

@@ -24,7 +24,7 @@ from mpe.baselines import (
     save_model,
     _tree_to_dict,
 )
-from mpe.events import DayEvents, EventRecord, FormattedEvent
+from mpe.events import DayEvents, EventRecord
 from mpe.prompts import AblationConfig, DemandFeatures, EventFeatures
 
 from oracles import (
@@ -100,10 +100,8 @@ def test_feature_dimensions_change_per_ablation():
     assert _featurize(EventFeatures.C).size == base + 1
     assert _featurize(EventFeatures.C_T).size == base + 1 + 24
     assert _featurize(EventFeatures.C_T_H).size == base + 1 + 24 + 32
-    formatted = (FormattedEvent("Pop Concert", "Arena show.", _target_events(1).events[0]),)
-    assert _featurize(
-        EventFeatures.C_T_H_PRIME, target_formatted=formatted
-    ).size == base + 1 + 24 + 32
+    with pytest.raises(ValueError, match="c_t_h_prime"):
+        _featurize(EventFeatures.C_T_H_PRIME)
 
 
 def test_event_count_and_time_bins():
@@ -154,7 +152,7 @@ def test_featurize_validations():
             FeaturizerConfig(lag_days=28),
         )
     with pytest.raises(ValueError):
-        _featurize(EventFeatures.C_T_H_PRIME)  # formatted events missing
+        _featurize(EventFeatures.C_T_H_PRIME)  # no classical h' features
 
 
 # --- linear models ----------------------------------------------------------------

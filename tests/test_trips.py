@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpe.errors import SchemaError
-from mpe.geo import GeoPoint
+from mpe.geo import GeoPoint, bounding_box
 from mpe.pipeline import PipelineConfig, artifact_path, run_stage
 from mpe.trips import (
     REQUIRED_COLUMNS,
@@ -52,8 +52,8 @@ def test_example_row_field_mapping():
     (trip,) = records
     assert trip.pickup_time == datetime(2014, 7, 25, 19, 5)
     assert trip.dropoff_time == datetime(2014, 7, 25, 19, 30)
-    assert trip.pickup_point == GeoPoint(40.683, -73.975)
-    assert trip.dropoff_point == GeoPoint(40.750, -73.990)
+    assert (trip.pickup_lat, trip.pickup_lon) == (40.683, -73.975)
+    assert (trip.dropoff_lat, trip.dropoff_lon) == (40.750, -73.990)
 
 
 def test_null_island_rejected():
@@ -109,12 +109,12 @@ def test_duplicate_rows_both_count():
 
 
 def _trip(pickup_dt, dropoff_dt, p_in_radius, d_in_radius):
-    near = GeoPoint(40.68265, -73.97469)
-    far = GeoPoint(40.75, -73.99)
+    near = (40.68265, -73.97469)
+    far = (40.75, -73.99)
     return TripRecord(
         pickup_dt, dropoff_dt,
-        near if p_in_radius else far,
-        near if d_in_radius else far,
+        *(near if p_in_radius else far),
+        *(near if d_in_radius else far),
     )
 
 
@@ -157,42 +157,67 @@ def test_empty_date_range_is_an_error():
         DateRange(date(2014, 7, 26), date(2014, 7, 25))
 
 
+def _random_times(rng, start, days):
+    offset = timedelta(
+        days=rng.randrange(days), hours=rng.randrange(24), minutes=rng.randrange(60)
+    )
+    pickup_dt = datetime.combine(start, datetime.min.time()) + offset
+    return pickup_dt, pickup_dt + timedelta(minutes=rng.randrange(5, 120))
+
+
 def _random_trips(rng, n, start, days):
     trips = []
     for _ in range(n):
-        offset = timedelta(
-            days=rng.randrange(days), hours=rng.randrange(24), minutes=rng.randrange(60)
-        )
-        pickup_dt = datetime.combine(start, datetime.min.time()) + offset
-        dropoff_dt = pickup_dt + timedelta(minutes=rng.randrange(5, 120))
         trips.append(TripRecord(
-            pickup_dt, dropoff_dt,
-            GeoPoint(40.68265 + rng.uniform(-0.01, 0.01), -73.97469 + rng.uniform(-0.01, 0.01)),
-            GeoPoint(40.68265 + rng.uniform(-0.01, 0.01), -73.97469 + rng.uniform(-0.01, 0.01)),
+            *_random_times(rng, start, days),
+            40.68265 + rng.uniform(-0.01, 0.01), -73.97469 + rng.uniform(-0.01, 0.01),
+            40.68265 + rng.uniform(-0.01, 0.01), -73.97469 + rng.uniform(-0.01, 0.01),
         ))
     return trips
+
+
+def _trips_around(rng, n, start, days, venue):
+    """Trips whose ends lie up to 1.5 radii from the venue in any direction,
+    longitudes wrapped into [-180, 180)."""
+    trips = []
+    for _ in range(n):
+        ends = [
+            destination_point(
+                venue.center.lat, venue.center.lon,
+                rng.uniform(0, 2 * math.pi), venue.radius_m * rng.uniform(0, 1.5),
+            )
+            for _ in range(2)
+        ]
+        trips.append(TripRecord(*_random_times(rng, start, days), *ends[0], *ends[1]))
+    return trips
+
+
+# Venues where bounding_box has no longitude bound.
+UNBOUNDED_BOX_VENUES = (
+    VenueConfig("Date Line Dome", GeoPoint(-16.5, 179.999), 500.0, "Pacific/Fiji"),
+    VenueConfig("Pole Station", GeoPoint(89.999, 30.0), 500.0, "UTC"),
+)
 
 
 def test_aggregation_matches_brute_force_on_random_trips():
     rng = random.Random(1234)
     start = date(2014, 7, 1)
-    trips = _random_trips(rng, 1000, start, 14)
     date_range = DateRange(start, start + timedelta(days=13))
-    series = aggregate_daily_demand(trips, VENUE, date_range)
-    raw = [
-        (t.pickup_time, t.dropoff_time,
-         t.pickup_point.lat, t.pickup_point.lon,
-         t.dropoff_point.lat, t.dropoff_point.lon)
-        for t in trips
-    ]
-    expected = brute_force_daily_counts(
-        raw, VENUE.center.lat, VENUE.center.lon, VENUE.radius_m,
-        date_range.start, date_range.end,
-    )
-    for row in series:
-        assert [row.outflow, row.inflow] == expected[row.date]
-    total_out = sum(r.outflow for r in series)
-    assert total_out == sum(v[0] for v in expected.values())
+    cases = [(VENUE, _random_trips(rng, 1000, start, 14))]
+    for venue in UNBOUNDED_BOX_VENUES:
+        assert bounding_box(venue.center, venue.radius_m).lon_min == -math.inf
+        cases.append((venue, _trips_around(rng, 1000, start, 14, venue)))
+    for venue, trips in cases:
+        series = aggregate_daily_demand(trips, venue, date_range)
+        expected = brute_force_daily_counts(
+            trips, venue.center.lat, venue.center.lon, venue.radius_m,
+            date_range.start, date_range.end,
+        )
+        for row in series:
+            assert [row.outflow, row.inflow] == expected[row.date]
+        total_out = sum(r.outflow for r in series)
+        assert total_out == sum(v[0] for v in expected.values())
+        assert 0 < total_out < len(trips)
 
 
 def test_shrinking_radius_never_increases_counts():
@@ -425,10 +450,8 @@ def _write_trips(path, venue, n, seed, near_share):
 def _reference_ingest(path, venue):
     with open(path, newline="") as fh:
         records, rejects = reference_parse_trip_records(fh)
-    raw = [(t.pickup_time, t.dropoff_time, t.pickup_point.lat, t.pickup_point.lon,
-            t.dropoff_point.lat, t.dropoff_point.lon) for t in records]
     counts = brute_force_daily_counts(
-        raw, venue.center.lat, venue.center.lon, venue.radius_m,
+        records, venue.center.lat, venue.center.lon, venue.radius_m,
         INGEST_RANGE.start, INGEST_RANGE.end,
     )
     return len(records), rejects, counts
