@@ -164,30 +164,10 @@ def predict_linear(model: LinearModel, x) -> float:
     return float(model.intercept + model.weights @ x)
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """Axis-aligned split or leaf (leaf iff feature is None)."""
-
-    feature: int | None = None
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-    def predict(self, x) -> float:
-        node = self
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.value
-
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
+# A fitted tree is its JSON document: a leaf is {"value": v}, a split is
+# {"feature": f, "threshold": t, "left": Tree, "right": Tree}, and a row
+# goes left when x[f] <= t.
+Tree = dict
 
 
 @dataclass(frozen=True)
@@ -210,7 +190,7 @@ class GbdtParams:
 
 @dataclass(frozen=True)
 class GbdtModel:
-    trees: tuple[TreeNode, ...]
+    trees: tuple[Tree, ...]
     learning_rate: float
     max_depth: int
     base_prediction: float
@@ -284,7 +264,7 @@ def _build_tree(Xt, residuals, out, ids, order, depth, params):
     if split is None:
         value = float(residuals[ids].mean())
         out[ids] = value
-        return TreeNode(value=value)
+        return {"value": value}
     feature, threshold = split
     goes_left = Xt[feature, ids] <= threshold
     left_ids = ids[goes_left]
@@ -300,7 +280,7 @@ def _build_tree(Xt, residuals, out, ids, order, depth, params):
             right_order = order[~flags].reshape(order.shape[0], -1)
     left = _build_tree(Xt, residuals, out, left_ids, left_order, depth + 1, params)
     right = _build_tree(Xt, residuals, out, right_ids, right_order, depth + 1, params)
-    return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
+    return {"feature": feature, "threshold": threshold, "left": left, "right": right}
 
 
 def fit_gbdt(X, y, params: GbdtParams = GbdtParams()) -> GbdtModel:
@@ -358,32 +338,12 @@ def predict_gbdt(model: GbdtModel, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (model.n_features,):
         raise ValueError(f"feature dimension {x.shape} != ({model.n_features},)")
-    return float(
-        model.base_prediction
-        + model.learning_rate * sum(tree.predict(x) for tree in model.trees)
-    )
-
-
-def _tree_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"value": node.value}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _tree_to_dict(node.left),
-        "right": _tree_to_dict(node.right),
-    }
-
-
-def _tree_from_dict(doc: dict) -> TreeNode:
-    if "value" in doc:
-        return TreeNode(value=doc["value"])
-    return TreeNode(
-        feature=doc["feature"],
-        threshold=doc["threshold"],
-        left=_tree_from_dict(doc["left"]),
-        right=_tree_from_dict(doc["right"]),
-    )
+    total = 0
+    for node in model.trees:
+        while "value" not in node:
+            node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+        total += node["value"]
+    return float(model.base_prediction + model.learning_rate * total)
 
 
 def save_model(model: LinearModel | GbdtModel, path) -> None:
@@ -404,7 +364,7 @@ def save_model(model: LinearModel | GbdtModel, path) -> None:
             "max_depth": model.max_depth,
             "base_prediction": model.base_prediction,
             "n_features": model.n_features,
-            "trees": [_tree_to_dict(t) for t in model.trees],
+            "trees": list(model.trees),
         }
     with atomic_writer(path) as fh:
         json.dump(doc, fh, sort_keys=True)
@@ -423,7 +383,7 @@ def load_model(path) -> LinearModel | GbdtModel:
         )
     if doc["kind"] == "gbdt":
         return GbdtModel(
-            trees=tuple(_tree_from_dict(t) for t in doc["trees"]),
+            trees=tuple(doc["trees"]),
             learning_rate=doc["learning_rate"],
             max_depth=doc["max_depth"],
             base_prediction=doc["base_prediction"],

@@ -19,7 +19,6 @@ from .pipeline import (
     STAGES,
     plan_stage,
     run_pipeline,
-    run_stage,
 )
 from .synthetic import generate_files
 from .trips import DateRange
@@ -101,11 +100,7 @@ def _run_stages(args, stages) -> int:
             for path in plan["outputs"]:
                 print(f"  out: {path}")
         return 0
-    if len(stages) == 1:
-        results = [run_stage(stages[0], config)]
-    else:
-        results = run_pipeline(config, stages)
-    for result in results:
+    for result in run_pipeline(config, stages):
         status = "skipped (up to date)" if result.skipped else "done"
         print(f"{result.stage}: {status} {json.dumps(result.stats, sort_keys=True)}")
     return 0

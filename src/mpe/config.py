@@ -89,7 +89,8 @@ class PipelineConfig:
         error, not silently ignored.
         """
         try:
-            nested = doc.get("backend") or {}
+            nested = doc.get("backend")
+            nested = nested if isinstance(nested, dict) else {}
             doc = dict(doc)
             if "extra_predictions" in doc:
                 raise ConfigError(
@@ -146,7 +147,10 @@ def encode(value):
     return value
 
 
-def _decode_fields(cls, doc: dict, base_dir: Path | None):
+def _decode_fields(cls, doc: dict, base_dir: Path | None, name: str | None = None):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config field {name} must be an object")
+    prefix = f"{name}." if name else ""
     hints = get_type_hints(cls)
     kwargs = {}
     for f in fields(cls):
@@ -156,21 +160,23 @@ def _decode_fields(cls, doc: dict, base_dir: Path | None):
         elif f.name in _SECRET_FIELDS:
             continue
         elif f.name in doc:
-            kwargs[f.name] = _decode(hint, doc[f.name], base_dir)
+            kwargs[f.name] = _decode(hint, doc[f.name], base_dir, prefix + f.name)
         elif f.default is not MISSING:
-            kwargs[f.name] = _decode(hint, encode(f.default), base_dir)
+            kwargs[f.name] = _decode(hint, encode(f.default), base_dir, prefix + f.name)
         else:
             raise ConfigError(f"config missing required field: {f.name}")
     return cls(**kwargs)
 
 
-def _decode(hint, raw, base_dir: Path | None):
+def _decode(hint, raw, base_dir: Path | None, name: str):
     if isinstance(hint, types.UnionType):  # `X | None`
         if raw is None:
             return None
         hint = next(arg for arg in get_args(hint) if arg is not type(None))
     if get_origin(hint) is tuple:
-        return tuple(_decode(get_args(hint)[0], item, base_dir) for item in raw)
+        if not isinstance(raw, list):
+            raise ConfigError(f"config field {name} must be an array")
+        return tuple(_decode(get_args(hint)[0], item, base_dir, name) for item in raw)
     if hint is Path:
         path = Path(raw)
         return base_dir / path if base_dir is not None and not path.is_absolute() else path
@@ -179,7 +185,7 @@ def _decode(hint, raw, base_dir: Path | None):
     if hint is AblationConfig:
         return AblationConfig.parse(raw)
     if is_dataclass(hint):
-        return _decode_fields(hint, raw, base_dir)
+        return _decode_fields(hint, raw, base_dir, name)
     if isinstance(hint, type) and issubclass(hint, enum.Enum):
         return hint(raw)
     return raw

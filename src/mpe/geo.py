@@ -42,9 +42,6 @@ class BoundingBox(NamedTuple):
     lon_min: float
     lon_max: float
 
-    def contains(self, lat: float, lon: float) -> bool:
-        return self.lat_min <= lat <= self.lat_max and self.lon_min <= lon <= self.lon_max
-
 
 # Widening of the angular radius: far above the rounding error of
 # haversine_m, far below any radius a venue uses.

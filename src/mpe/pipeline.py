@@ -184,10 +184,16 @@ def _manifest_path(config: PipelineConfig) -> Path:
 
 
 def load_manifest(config: PipelineConfig) -> dict:
+    """The manifest; a missing, corrupt or misshapen one reads as no stages
+    recorded, and a stage entry that is not an object as absent."""
     try:
-        return json.loads(_manifest_path(config).read_text())
+        manifest = json.loads(_manifest_path(config).read_text())
     except (OSError, ValueError):
+        manifest = None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
         return {"stages": {}}
+    manifest["stages"] = {k: v for k, v in manifest["stages"].items() if isinstance(v, dict)}
+    return manifest
 
 
 def save_manifest(config: PipelineConfig, manifest: dict) -> None:
@@ -901,7 +907,7 @@ def _input_digests(stage: str, config: PipelineConfig, manifest: dict) -> dict[s
         path = artifact_path(config, item) if isinstance(item, str) else Path(item)
         digests[str(path)] = _file_digest(path)
     for name in stage_def.stats_of:
-        entry = manifest.get("stages", {}).get(name)
+        entry = manifest["stages"].get(name)
         digests[f"manifest.json#stages.{name}.stats"] = (
             None if entry is None else _json_digest(entry.get("stats"))
         )
@@ -926,7 +932,7 @@ def _stage_state(stage: str, config: PipelineConfig, manifest: dict) -> dict:
 
 
 def _up_to_date(manifest: dict, stage: str, state: dict) -> bool:
-    entry = manifest.get("stages", {}).get(stage)
+    entry = manifest["stages"].get(stage)
     return entry is not None and all(entry.get(key) == value for key, value in state.items())
 
 
@@ -965,7 +971,7 @@ def run_stage(
     if stage_def.needs_backend and backend is None:
         backend = build_backend(config)
     stats = stage_def.run(config, backend)
-    manifest.setdefault("stages", {})[stage] = {
+    manifest["stages"][stage] = {
         **state,
         "outputs": _output_digests(stage, config),
         "stats": stats,
@@ -983,7 +989,6 @@ def run_pipeline(
     stages: Sequence[str] = DEFAULT_RUN_STAGES,
     backend: ChatBackend | None = None,
 ) -> list[StageResult]:
-    """Run stages in order, sharing one backend instance."""
-    if backend is None and any(_STAGE_DEFS[s].needs_backend for s in stages):
-        backend = build_backend(config)
+    """Run stages in order. A given backend is shared; otherwise each stage
+    that runs builds its own, so a run whose stages all skip needs none."""
     return [run_stage(stage, config, backend) for stage in stages]

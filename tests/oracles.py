@@ -17,7 +17,7 @@ from datetime import date, datetime, timedelta
 
 import numpy as np
 
-from mpe.baselines import GbdtModel, GbdtParams, TreeNode
+from mpe.baselines import GbdtModel, GbdtParams
 from mpe.errors import SchemaError
 from mpe.geo import GeoPoint
 from mpe.trips import REQUIRED_COLUMNS, RejectionNote, TripRecord
@@ -320,15 +320,21 @@ def _reference_build_tree(X, residuals, indices, depth, params):
     n = indices.size
     mean = float(residuals[indices].mean())
     if depth >= params.max_depth or n < 2 * params.min_leaf:
-        return TreeNode(value=mean)
+        return {"value": mean}
     split = _reference_best_split(X, residuals, indices, params.min_leaf)
     if split is None:
-        return TreeNode(value=mean)
+        return {"value": mean}
     _, feature, threshold = split
     mask = X[indices, feature] <= threshold
     left = _reference_build_tree(X, residuals, indices[mask], depth + 1, params)
     right = _reference_build_tree(X, residuals, indices[~mask], depth + 1, params)
-    return TreeNode(feature=feature, threshold=float(threshold), left=left, right=right)
+    return {"feature": feature, "threshold": float(threshold), "left": left, "right": right}
+
+
+def _reference_tree_value(node, row):
+    while "value" not in node:
+        node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
+    return node["value"]
 
 
 def reference_fit_gbdt(X, y, params=GbdtParams()):
@@ -350,7 +356,7 @@ def reference_fit_gbdt(X, y, params=GbdtParams()):
     indices = np.arange(n)
     for _ in range(params.n_trees):
         tree = _reference_build_tree(X, residuals, indices, 0, params)
-        outputs = np.array([tree.predict(row) for row in X])
+        outputs = np.array([_reference_tree_value(tree, row) for row in X])
         residuals = residuals - params.learning_rate * outputs
         trees.append(tree)
     return GbdtModel(

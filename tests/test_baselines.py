@@ -22,7 +22,6 @@ from mpe.baselines import (
     predict_gbdt,
     predict_linear,
     save_model,
-    _tree_to_dict,
 )
 from mpe.events import DayEvents, EventRecord
 from mpe.prompts import AblationConfig, DemandFeatures, EventFeatures
@@ -242,7 +241,7 @@ def test_step_data_stump_splits_at_midpoint():
     model = fit_gbdt(X, y, GbdtParams(n_trees=1, max_depth=1, learning_rate=1.0, min_leaf=1))
     (tree,) = model.trees
     oracle = best_stump_variance_gain([x[0] for x in X], [v - 5.0 for v in y])
-    assert tree.threshold == oracle[1] == 0.0
+    assert tree["threshold"] == oracle[1] == 0.0
     assert predict_gbdt(model, [5.0]) == pytest.approx(10.0)
     assert predict_gbdt(model, [-5.0]) == pytest.approx(0.0)
 
@@ -267,9 +266,9 @@ def test_stump_threshold_separates_extreme_values(column, left_max):
         model = fit_gbdt(X, y, params)
         reference = reference_fit_gbdt(X, y, params)
     (tree,) = model.trees
-    assert tree.threshold == left_max
-    assert (tree.left.value, tree.right.value) == (-0.5, 0.5)
-    assert _tree_to_dict(tree) == _tree_to_dict(reference.trees[0])
+    assert tree["threshold"] == left_max
+    assert (tree["left"]["value"], tree["right"]["value"]) == (-0.5, 0.5)
+    assert tree == reference.trees[0]
 
 
 def test_stump_matches_oracle_on_random_data():
@@ -280,7 +279,7 @@ def test_stump_matches_oracle_on_random_data():
         model = fit_gbdt(X, y, GbdtParams(n_trees=1, max_depth=1, learning_rate=1.0, min_leaf=1))
         (tree,) = model.trees
         oracle = best_stump_variance_gain(X[:, 0].tolist(), (y - y.mean()).tolist())
-        assert tree.threshold == pytest.approx(oracle[1], abs=1e-12)
+        assert tree["threshold"] == pytest.approx(oracle[1], abs=1e-12)
 
 
 def _nonlinear_fixture(n=200, seed=23):
@@ -322,11 +321,11 @@ def test_min_leaf_respected_and_validated():
     model = fit_gbdt(X, y, GbdtParams(n_trees=1, max_depth=3, learning_rate=1.0, min_leaf=3))
 
     def leaves(node, acc):
-        if node.is_leaf:
+        if "value" in node:
             acc.append(node)
         else:
-            leaves(node.left, acc)
-            leaves(node.right, acc)
+            leaves(node["left"], acc)
+            leaves(node["right"], acc)
         return acc
 
     assert len(leaves(model.trees[0], [])) <= 2  # min_leaf 3 of 6 allows one split
@@ -361,7 +360,13 @@ def test_permuting_rows_leaves_gbdt_unchanged_exactly():
 def test_max_depth_respected():
     X, y = _nonlinear_fixture(n=100)
     model = fit_gbdt(X, y, GbdtParams(n_trees=10, max_depth=2, learning_rate=0.5, min_leaf=2))
-    assert all(tree.depth() <= 2 for tree in model.trees)
+
+    def depth(node):
+        if "value" in node:
+            return 0
+        return 1 + max(depth(node["left"]), depth(node["right"]))
+
+    assert all(depth(tree) <= 2 for tree in model.trees)
 
 
 def test_predict_gbdt_dimension_check():
@@ -375,6 +380,7 @@ def test_model_persistence_round_trip(tmp_path):
     gbdt = fit_gbdt(X, y, GbdtParams(n_trees=5, max_depth=2, learning_rate=0.3, min_leaf=2))
     save_model(gbdt, tmp_path / "gbdt.json")
     loaded = load_model(tmp_path / "gbdt.json")
+    assert loaded == gbdt
     probe = X[:10]
     for row in probe:
         assert predict_gbdt(loaded, row) == predict_gbdt(gbdt, row)
@@ -469,9 +475,7 @@ def test_presorted_trees_match_reference_builder(cases):
         model = fit_gbdt(X, y, params)
         reference = reference_fit_gbdt(X, y, params)
         assert model.base_prediction == reference.base_prediction, f"case {i}"
-        assert [_tree_to_dict(t) for t in model.trees] == [
-            _tree_to_dict(t) for t in reference.trees
-        ], f"case {i}"
+        assert model.trees == reference.trees, f"case {i}"
 
 
 # --- layer micro-benchmark ----------------------------------------------------------

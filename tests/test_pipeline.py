@@ -23,6 +23,7 @@ from mpe.errors import (
 from mpe.events import EventRecord, parse_event_records
 from mpe.gateway import BackendConfig, CachingBackend, ScriptedBackend
 from mpe.geo import GeoPoint
+from mpe.heuristic import HeuristicBackend
 from mpe.pipeline import (
     ARTIFACTS,
     STAGES,
@@ -287,6 +288,7 @@ GOLDEN_DIGESTS = Path(__file__).parent / "golden_digests.json"
 GOLDEN_ARTIFACTS = (
     "daily_demand", "ingest_rejects", "formatted_events", "decomposition", "predictions",
     "predictions_detail", "parse_failures", "predictions_historical_average",
+    "predictions_gbdt", "model_gbdt_out", "model_gbdt_in",
 )
 
 
@@ -367,6 +369,18 @@ def test_manifest_records_digests_and_backend(pipeline_run):
     assert artifact_path(config, "predictions").as_posix() in {
         Path(p).as_posix() for p in predict_entry["outputs"]
     }
+
+
+@pytest.mark.parametrize("text", [
+    "[]", "null", '{"stages": []}', '{"stages": {"ingest": 1}}',
+])
+def test_misshapen_manifest_reads_as_no_stages(small_config, tmp_path, text):
+    config = replace(small_config, output_dir=tmp_path / "out")
+    config.output_dir.mkdir()
+    (config.output_dir / "manifest.json").write_text(text)
+    assert load_manifest(config) == {"stages": {}}
+    assert not run_stage("ingest", config).skipped
+    assert run_stage("ingest", config).skipped
 
 
 def test_plan_stage_reports_skip(pipeline_run):
@@ -541,6 +555,13 @@ def test_gbdt_change_reruns_evaluate_only(small_config, tmp_path):
     assert not ran & {"ingest", "format_events", "decompose", "predict"}
 
 
+def test_up_to_date_live_run_skips_without_an_api_key(small_config, tmp_path, monkeypatch):
+    config = _fresh(small_config, tmp_path, backend_kind="live")
+    run_pipeline(config, STAGES, HeuristicBackend())
+    monkeypatch.delenv("LLM_API_KEY", raising=False)
+    assert _ran(run_pipeline(config, STAGES)) == set()
+
+
 def test_cache_dir_and_concurrency_changes_skip_every_stage(small_config, tmp_path):
     config = _fresh(small_config, tmp_path)
     run_pipeline(config)
@@ -633,6 +654,16 @@ def test_config_documents_read_in_every_accepted_form(small_config, tmp_path):
     for stage_def in _STAGE_DEFS.values():
         config_slice = {name: encode(getattr(keyed, name)) for name in stage_def.config}
         assert "sk-secret" not in json.dumps(config_slice)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("backend", "heuristic"), ("baseline", "expand_window"), ("gbdt", "fast"),
+    ("ablate_models", "llm"),
+])
+def test_config_value_of_the_wrong_json_type_is_an_error(small_config, tmp_path, field, value):
+    doc = dict(small_config.to_dict(), **{field: value})
+    with pytest.raises(ConfigError, match=field):
+        PipelineConfig.from_dict(doc, base_dir=tmp_path)
 
 
 def test_removed_extra_predictions_field_is_an_error(small_config, tmp_path):
