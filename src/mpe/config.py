@@ -121,6 +121,14 @@ class PipelineConfig:
 # Date ranges are [start, end], ablations are their names, enums their
 # values, and a GeoPoint is inlined into its parent as lat/lon.
 _SECRET_FIELDS = frozenset({"api_key"})  # never serialised, never digested
+# The JSON values a scalar field accepts: an int where a float is declared,
+# but never a bool where a number is.
+_SCALARS = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
 
 
 def encode(value):
@@ -156,7 +164,9 @@ def _decode_fields(cls, doc: dict, base_dir: Path | None, name: str | None = Non
     for f in fields(cls):
         hint = hints[f.name]
         if hint is GeoPoint:
-            kwargs[f.name] = GeoPoint(doc["lat"], doc["lon"])
+            kwargs[f.name] = GeoPoint(
+                *(_decode(float, doc[k], base_dir, prefix + k) for k in ("lat", "lon"))
+            )
         elif f.name in _SECRET_FIELDS:
             continue
         elif f.name in doc:
@@ -188,4 +198,7 @@ def _decode(hint, raw, base_dir: Path | None, name: str):
         return _decode_fields(hint, raw, base_dir, name)
     if isinstance(hint, type) and issubclass(hint, enum.Enum):
         return hint(raw)
+    accepted, described = _SCALARS[hint]
+    if not isinstance(raw, accepted) or (isinstance(raw, bool) and hint is not bool):
+        raise ConfigError(f"config field {name} must be {described}")
     return raw

@@ -4,8 +4,10 @@ predict -> evaluate -> ablate -> report.
 Each stage declares the config fields it reads, the files it reads and the
 files it writes (`_STAGE_DEFS`), and records digests of exactly those in
 manifest.json; a stage whose declared inputs and outputs are unchanged is
-skipped. Predictions are one-step-ahead over the test range from true
-observed history, never from the model's own prior outputs.
+skipped. A recorded digest is reused, without reading the file, while the
+file's stat is unchanged (`_FileDigests`). Predictions are one-step-ahead
+over the test range from true observed history, never from the model's own
+prior outputs.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import csv
 import hashlib
 import itertools
 import json
+import os
+import time
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -162,16 +166,81 @@ def artifact_path(config: PipelineConfig, name: str) -> Path:
     return config.output_dir / ARTIFACTS[name]
 
 
-def _file_digest(path: Path) -> str | None:
-    """The file's SHA-256, or None when it does not exist."""
-    digest = hashlib.sha256()
+# A digest is recorded against a file's stat only when the file's ctime is
+# older than the moment of recording by more than this margin, which exceeds
+# any local filesystem's timestamp granularity: a write within the same tick
+# as a recorded ctime could otherwise leave the whole stat unchanged (git's
+# "racy clean" guard, Documentation/technical/racy-git.txt).
+_RACY_MARGIN_NS = 2_000_000_000
+
+
+def _stat(path: Path) -> list[int] | None:
+    """The stat fields a recorded digest is keyed by; None when the file does not exist."""
     try:
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(chunk)
+        st = os.stat(path)
     except FileNotFoundError:
         return None
-    return digest.hexdigest()
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+
+
+class _FileDigests:
+    """SHA-256 of files, reusing a digest that any manifest entry recorded
+    for the same path while the file's stat equals the recorded one.
+
+    `stat` collects, per path digested, the record a new manifest entry may
+    keep: the stat taken before hashing, only if the file's stat did not
+    change while it was read and its ctime was outside the racy margin.
+    A file hashed inside the margin is held in `racy` until `settle`.
+    """
+
+    def __init__(self, manifest: dict):
+        self.known: dict[str, list[tuple[object, str]]] = {}
+        for entry in manifest["stages"].values():
+            stat, inputs, outputs = (entry.get(k) for k in ("stat", "inputs", "outputs"))
+            if not all(isinstance(m, dict) for m in (stat, inputs, outputs)):
+                continue  # a misshapen record reads as none
+            for path, record in stat.items():
+                digest = inputs.get(path, outputs.get(path))
+                if isinstance(digest, str):
+                    self.known.setdefault(path, []).append((record, digest))
+        self.stat: dict[str, list[int]] = {}
+        self.racy: dict[str, tuple[list[int], str]] = {}
+
+    def __call__(self, path: Path) -> str | None:
+        """The file's SHA-256, or None when it does not exist."""
+        key = str(path)
+        self.stat.pop(key, None)
+        self.racy.pop(key, None)
+        now = time.time_ns()
+        before = _stat(path)
+        if before is None:
+            return None
+        for record, digest in self.known.get(key, ()):
+            if record == before:
+                self.stat[key] = before
+                return digest
+        sha = hashlib.sha256()
+        try:
+            with open(path, "rb") as fh:
+                for chunk in iter(lambda: fh.read(1 << 20), b""):
+                    sha.update(chunk)
+        except FileNotFoundError:
+            return None
+        digest = sha.hexdigest()
+        if _stat(path) == before:
+            if before[4] < now - _RACY_MARGIN_NS:
+                self.stat[key] = before
+            else:
+                self.racy[key] = (before, digest)
+        return digest
+
+    def settle(self) -> None:
+        """Hash again each file that was inside the racy margin when hashed
+        and is outside it now, so that its stat is recorded after all; a
+        file whose digest changed meanwhile gets no record."""
+        for key, (before, digest) in list(self.racy.items()):
+            if before[4] < time.time_ns() - _RACY_MARGIN_NS and self(Path(key)) != digest:
+                self.stat.pop(key, None)
 
 
 def _json_digest(value) -> str:
@@ -887,13 +956,15 @@ def _stage_def(stage: str) -> StageDef:
     return _STAGE_DEFS[stage]
 
 
-def _input_digests(stage: str, config: PipelineConfig, manifest: dict) -> dict[str, str | None]:
+def _input_digests(
+    stage: str, config: PipelineConfig, manifest: dict, digest: _FileDigests
+) -> dict[str, str | None]:
     """Digests of everything the stage reads; a required file must exist."""
     stage_def = _STAGE_DEFS[stage]
     digests: dict[str, str | None] = {}
     for item in stage_def.reads(config):
         path = artifact_path(config, item) if isinstance(item, str) else Path(item)
-        digests[str(path)] = _file_digest(path)
+        digests[str(path)] = digest(path)
         if digests[str(path)] is not None:
             continue
         if isinstance(item, str):
@@ -905,7 +976,7 @@ def _input_digests(stage: str, config: PipelineConfig, manifest: dict) -> dict[s
         raise ConfigError(f"{stage}: source file not found: {path}")
     for item in stage_def.reads_if_present(config):
         path = artifact_path(config, item) if isinstance(item, str) else Path(item)
-        digests[str(path)] = _file_digest(path)
+        digests[str(path)] = digest(path)
     for name in stage_def.stats_of:
         entry = manifest["stages"].get(name)
         digests[f"manifest.json#stages.{name}.stats"] = (
@@ -914,20 +985,24 @@ def _input_digests(stage: str, config: PipelineConfig, manifest: dict) -> dict[s
     return digests
 
 
-def _output_digests(stage: str, config: PipelineConfig) -> dict[str, str | None]:
+def _output_digests(
+    stage: str, config: PipelineConfig, digest: _FileDigests
+) -> dict[str, str | None]:
     return {
-        str(artifact_path(config, name)): _file_digest(artifact_path(config, name))
+        str(artifact_path(config, name)): digest(artifact_path(config, name))
         for name in _STAGE_DEFS[stage].writes
     }
 
 
-def _stage_state(stage: str, config: PipelineConfig, manifest: dict) -> dict:
+def _stage_state(
+    stage: str, config: PipelineConfig, manifest: dict, digest: _FileDigests
+) -> dict:
     """The stage's config slice, inputs and outputs, as the manifest records them."""
     config_slice = {name: encode(getattr(config, name)) for name in _STAGE_DEFS[stage].config}
     return {
         "config_slice": _json_digest(config_slice),
-        "inputs": _input_digests(stage, config, manifest),
-        "outputs": _output_digests(stage, config),
+        "inputs": _input_digests(stage, config, manifest, digest),
+        "outputs": _output_digests(stage, config, digest),
     }
 
 
@@ -941,7 +1016,7 @@ def plan_stage(stage: str, config: PipelineConfig) -> dict:
     stage_def = _stage_def(stage)
     manifest = load_manifest(config)
     try:
-        state = _stage_state(stage, config, manifest)
+        state = _stage_state(stage, config, manifest, _FileDigests(manifest))
         blocked = []
     except (ConfigError, PreconditionError) as exc:
         state = None
@@ -964,16 +1039,20 @@ def run_stage(
     stage_def = _stage_def(stage)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     manifest = load_manifest(config)
-    state = _stage_state(stage, config, manifest)
+    digest = _FileDigests(manifest)
+    state = _stage_state(stage, config, manifest, digest)
     if _up_to_date(manifest, stage, state):
         return StageResult(stage, True, stage_def.writes, manifest["stages"][stage].get("stats", {}))
 
     if stage_def.needs_backend and backend is None:
         backend = build_backend(config)
     stats = stage_def.run(config, backend)
+    outputs = _output_digests(stage, config, digest)
+    digest.settle()
     manifest["stages"][stage] = {
         **state,
-        "outputs": _output_digests(stage, config),
+        "outputs": outputs,
+        "stat": digest.stat,
         "stats": stats,
         "completed_at": datetime.now(timezone.utc).isoformat(),
     }

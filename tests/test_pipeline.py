@@ -5,12 +5,15 @@ import hashlib
 import json
 import os
 import re
+import shutil
 from dataclasses import replace
 from datetime import date, time, timedelta
 from pathlib import Path
+from time import sleep, time_ns
 
 import pytest
 
+from mpe import pipeline
 from mpe.baselines import GbdtParams
 from mpe.config import encode
 from mpe.decomposition import BaselineConfig
@@ -656,17 +659,279 @@ def test_config_documents_read_in_every_accepted_form(small_config, tmp_path):
         assert "sk-secret" not in json.dumps(config_slice)
 
 
+def _with_field(doc: dict, dotted: str, value) -> dict:
+    doc = json.loads(json.dumps(doc))
+    *parents, leaf = dotted.split(".")
+    inner = doc
+    for name in parents:
+        inner = inner[name]
+    inner[leaf] = value
+    return doc
+
+
 @pytest.mark.parametrize("field, value", [
     ("backend", "heuristic"), ("baseline", "expand_window"), ("gbdt", "fast"),
     ("ablate_models", "llm"),
+    # scalar fields, nested ones named by their dotted path
+    ("time_bins", "24"), ("temperature", "hot"), ("text_dim", 32.5),
+    ("linear_ridge_lambda", "1"), ("history_days", True), ("max_tokens", "256"),
+    ("model", 4), ("fallback_budget", False), ("gbdt.n_trees", 200.0),
+    ("gbdt.learning_rate", "0.05"), ("baseline.lookback_weeks", True),
+    ("backend.timeout_s", None), ("venue.name", 7), ("venue.lat", "40.7"),
+    ("ablate_models", ["llm", 1]),
 ])
 def test_config_value_of_the_wrong_json_type_is_an_error(small_config, tmp_path, field, value):
-    doc = dict(small_config.to_dict(), **{field: value})
-    with pytest.raises(ConfigError, match=field):
+    doc = _with_field(small_config.to_dict(), field, value)
+    with pytest.raises(ConfigError, match=re.escape(field)):
         PipelineConfig.from_dict(doc, base_dir=tmp_path)
+
+
+def test_integer_config_value_reads_where_a_number_is_declared(small_config, tmp_path):
+    doc = _with_field(small_config.to_dict(), "temperature", 1)
+    doc = _with_field(doc, "gbdt.learning_rate", 1)
+    config = PipelineConfig.from_dict(doc, base_dir=tmp_path)
+    assert (config.temperature, config.gbdt.learning_rate) == (1, 1)
+    assert config.to_dict() == doc
 
 
 def test_removed_extra_predictions_field_is_an_error(small_config, tmp_path):
     doc = dict(small_config.to_dict(), extra_predictions=["other.csv"])
     with pytest.raises(ConfigError, match="extra_predictions"):
         PipelineConfig.from_dict(doc, base_dir=tmp_path)
+
+
+# --- stat-keyed digests -------------------------------------------------------------
+
+TRIPS_HEADER = (
+    "pickup_datetime,dropoff_datetime,pickup_longitude,pickup_latitude,"
+    "dropoff_longitude,dropoff_latitude\n"
+)
+NEAR_PICKUP = "2014-07-25 19:05:00,2014-07-25 19:25:00,-73.95000,40.70000,-73.99000,40.75000\n"
+FAR_PICKUP = "2014-07-25 19:05:00,2014-07-25 19:25:00,-73.85000,40.70000,-73.99000,40.75000\n"
+FAR_TRIPS = (TRIPS_HEADER + FAR_PICKUP).encode()
+
+
+def _write_trips(path: Path, row: str) -> None:
+    path.write_text(TRIPS_HEADER + row)
+
+
+def _same_size_edit(path: Path, data: bytes) -> None:
+    """Rewrite the file in place with other bytes of the same length, then
+    restore its atime and mtime, as a careless tool might."""
+    before = os.stat(path)
+    assert len(data) == before.st_size and data != path.read_bytes()
+    path.write_bytes(data)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+        before.st_ino, before.st_size, before.st_mtime_ns
+    )
+
+
+def _pickups(config) -> int:
+    return sum(int(r["outflow"]) for r in csv.DictReader(
+        artifact_path(config, "daily_demand").read_text().splitlines()
+    ))
+
+
+def _stat_record(config, stage: str, path: Path):
+    return load_manifest(config)["stages"][stage]["stat"].get(str(path))
+
+
+def _assert_recorded_digests_are_true(config) -> None:
+    for entry in load_manifest(config)["stages"].values():
+        for key, digest in {**entry["inputs"], **entry["outputs"]}.items():
+            if digest is not None and not key.startswith("manifest.json#"):
+                assert digest == hashlib.sha256(Path(key).read_bytes()).hexdigest(), key
+
+
+@pytest.fixture
+def short_margin(monkeypatch):
+    """A racy margin of 50 ms, so that a test can step past it by sleeping."""
+    monkeypatch.setattr(pipeline, "_RACY_MARGIN_NS", 50_000_000)
+    return lambda: sleep(0.1)
+
+
+@pytest.fixture
+def opens(monkeypatch):
+    """Paths opened by mpe.pipeline, in order."""
+    seen: list[Path] = []
+
+    def counting_open(file, *args, **kwargs):
+        seen.append(Path(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "open", counting_open, raising=False)
+    return seen
+
+
+def test_up_to_date_rerun_reads_no_unchanged_trip_file(small_config, tmp_path, short_margin, opens):
+    config = _fresh(small_config, tmp_path)
+    short_margin()  # the trip file is now older than the racy margin
+    run_pipeline(config)
+    assert opens.count(config.trip_source) == 2  # hashed once, read once by ingest
+    assert _stat_record(config, "ingest", config.trip_source) is not None
+    manifest = config.output_dir / "manifest.json"
+    written = (os.stat(manifest).st_ino, manifest.read_bytes())
+
+    opens.clear()
+    assert _ran(run_pipeline(config)) == set()
+    assert config.trip_source not in opens
+    assert (os.stat(manifest).st_ino, manifest.read_bytes()) == written
+
+
+def _ingest_config(tmp_path) -> PipelineConfig:
+    trips = tmp_path / "trips.csv"
+    _write_trips(trips, NEAR_PICKUP)
+    return _minimal_config(tmp_path)
+
+
+def test_same_size_edit_with_restored_mtime_reruns_ingest(tmp_path, short_margin):
+    config = _ingest_config(tmp_path)
+    short_margin()
+    run_stage("ingest", config)
+    assert _stat_record(config, "ingest", config.trip_source) is not None
+    assert _pickups(config) == 1
+    sleep(0.01)  # a timestamp tick later
+    _same_size_edit(config.trip_source, FAR_TRIPS)
+    assert not run_stage("ingest", config).skipped
+    assert _pickups(config) == 0
+    _assert_recorded_digests_are_true(config)
+
+
+def _floored_to_seconds(stat):
+    """`pipeline._stat` as a filesystem with one-second timestamps reports it."""
+    def coarse(path):
+        record = stat(path)
+        if record is not None:
+            record[3] -= record[3] % 1_000_000_000
+            record[4] -= record[4] % 1_000_000_000
+        return record
+    return coarse
+
+
+@pytest.mark.parametrize("seconds_granularity", [False, True])
+def test_edit_inside_the_racy_window_reruns_ingest(tmp_path, monkeypatch, seconds_granularity):
+    if seconds_granularity:
+        # Start just after a second begins, so that the write, the run and the
+        # edit share one timestamp; only the racy guard then tells them apart.
+        monkeypatch.setattr(pipeline, "_stat", _floored_to_seconds(pipeline._stat))
+        sleep(1 - time_ns() % 1_000_000_000 / 1e9)
+    config = _ingest_config(tmp_path)
+    run_stage("ingest", config)
+    assert _stat_record(config, "ingest", config.trip_source) is None
+    _same_size_edit(config.trip_source, FAR_TRIPS)
+    assert not run_stage("ingest", config).skipped
+    assert _pickups(config) == 0
+
+
+@pytest.mark.parametrize("replace_file", [
+    pytest.param(os.replace, id="rename"),
+    pytest.param(shutil.copy2, id="copy2"),
+])
+def test_trip_file_replaced_by_another_of_equal_size_and_mtime_reruns_ingest(
+    tmp_path, short_margin, replace_file
+):
+    config = _ingest_config(tmp_path)
+    short_margin()
+    run_stage("ingest", config)
+    assert _stat_record(config, "ingest", config.trip_source) is not None
+    other = tmp_path / "other.csv"
+    _write_trips(other, FAR_PICKUP)
+    mtime = os.stat(config.trip_source).st_mtime_ns
+    os.utime(other, ns=(mtime, mtime))
+    replace_file(other, config.trip_source)
+    assert os.stat(config.trip_source).st_mtime_ns == mtime
+    assert not run_stage("ingest", config).skipped
+    assert _pickups(config) == 0
+    _assert_recorded_digests_are_true(config)
+
+
+def test_copied_output_directory_is_hashed_again(
+    small_config, tmp_path, monkeypatch, short_margin
+):
+    """A copy keeps sizes and mtimes but not inodes or ctimes, so no digest
+    recorded for the original is trusted for it, even under the same
+    relative paths."""
+    original, copied = tmp_path / "original", tmp_path / "copied"
+    original.mkdir()
+    monkeypatch.chdir(original)
+    config = _fresh(small_config, tmp_path, output_dir=Path("out"), history_days=21)
+    short_margin()
+    run_pipeline(replace(config, history_days=28))
+    short_margin()  # every output is now older than the margin ...
+    run_pipeline(config)  # ... and is recorded as an input of the stages that re-run
+    decomposition = artifact_path(config, "decomposition")
+    assert _stat_record(config, "predict", decomposition) is not None
+    expected = decomposition.read_bytes()
+
+    shutil.copytree(original / "out", copied / "out", copy_function=shutil.copy2)
+    monkeypatch.chdir(copied)
+    i = len(expected.rstrip(b"\r\n")) - 1  # the last digit of the last row
+    digit = b"%d" % ((int(expected[i:i + 1]) + 1) % 10)
+    _same_size_edit(decomposition, expected[:i] + digit + expected[i + 1:])
+    assert "decompose" in _ran(run_pipeline(config))
+    assert decomposition.read_bytes() == expected
+    _assert_recorded_digests_are_true(config)
+    assert _ran(run_pipeline(config)) == set()
+
+
+@pytest.mark.parametrize("misshapen", [
+    pytest.param(lambda record: "x", id="string"),
+    pytest.param(lambda record: [], id="list"),
+    pytest.param(lambda record: {"trips": record[:4]}, id="short_record"),
+    pytest.param(lambda record: {"trips": record + [0]}, id="long_record"),
+])
+def test_misshapen_stat_reads_as_no_record(tmp_path, short_margin, misshapen):
+    config = _ingest_config(tmp_path)
+    short_margin()
+    run_stage("ingest", config)
+    manifest_path = config.output_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    record = manifest["stages"]["ingest"]["stat"][str(config.trip_source)]
+    stat = misshapen(record)
+    if isinstance(stat, dict):
+        stat = {str(config.trip_source): stat["trips"]}
+    manifest["stages"]["ingest"]["stat"] = stat
+    manifest_path.write_text(json.dumps(manifest))
+    sleep(0.01)
+    _same_size_edit(config.trip_source, FAR_TRIPS)
+    assert not run_stage("ingest", config).skipped
+    assert _pickups(config) == 0
+    _assert_recorded_digests_are_true(config)
+
+
+def _slow_ingest(monkeypatch, seconds: float, during=lambda: None):
+    """Make ingest take `seconds` longer, calling `during` first."""
+    ingest = _STAGE_DEFS["ingest"]
+
+    def run(config, backend):
+        during()
+        sleep(seconds)
+        return ingest.run(config, backend)
+
+    monkeypatch.setitem(_STAGE_DEFS, "ingest", replace(ingest, run=run))
+
+
+def test_input_leaving_the_racy_window_during_its_stage_is_recorded(
+    tmp_path, monkeypatch, short_margin, opens
+):
+    config = _ingest_config(tmp_path)
+    _slow_ingest(monkeypatch, 0.1)
+    run_stage("ingest", config)  # the trip file was inside the margin when hashed
+    assert _stat_record(config, "ingest", config.trip_source) is not None
+    opens.clear()
+    assert run_stage("ingest", config).skipped
+    assert config.trip_source not in opens
+
+
+def test_input_edited_during_its_stage_is_not_recorded(tmp_path, monkeypatch):
+    # A margin wide enough that the trip file is surely inside it when first hashed.
+    monkeypatch.setattr(pipeline, "_RACY_MARGIN_NS", 500_000_000)
+    config = _ingest_config(tmp_path)
+    _slow_ingest(monkeypatch, 0.6, lambda: _same_size_edit(config.trip_source, FAR_TRIPS))
+    run_stage("ingest", config)
+    assert _stat_record(config, "ingest", config.trip_source) is None
+    monkeypatch.undo()
+    assert not run_stage("ingest", config).skipped
+    assert _pickups(config) == 0

@@ -5,8 +5,10 @@ import json
 import math
 import random
 import shutil
+import tomllib
 import tracemalloc
 from datetime import date, datetime, timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from mpe.trips import (
     VenueConfig,
     aggregate_daily_demand,
     demand_index,
+    iter_trip_rows,
     parse_trip_records,
     read_daily_demand_csv,
     write_daily_demand_csv,
@@ -361,6 +364,21 @@ def test_reference_cases_exercise_every_outcome():
     }
     assert sum(o[0] == "SchemaError" for o in outcomes) == 2
     assert sum(len(o[0]) for o in outcomes if o[0] != "SchemaError") >= 15
+
+
+def test_declared_python_floor_reads_basic_format_timestamps():
+    """Trip timestamps go through `datetime.fromisoformat`, which reads the
+    basic format (20140725T190500) only from Python 3.11 on; under 3.10 the
+    same CSV gives other rejects and other counts."""
+    root = Path(__file__).resolve().parent.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    assert project["requires-python"] == ">=3.11"
+    assert "Python ≥ 3.11." in (root / "README.md").read_text()
+    rejects = []
+    row = "20140725T190500,2014-07-25T19:30,-73.975,40.683,-73.990,40.750\n"
+    rows = list(iter_trip_rows(io.StringIO(HEADER + row), rejects))
+    assert rejects == []
+    assert rows[0][:2] == (datetime(2014, 7, 25, 19, 5), datetime(2014, 7, 25, 19, 30))
 
 
 def test_crlf_file_matches_reference(tmp_path):
