@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import DayEvents
-from .ioutil import atomic_writer
+from .ioutil import atomic_write_text
 from .prompts import AblationConfig, DemandFeatures, EventFeatures, HistoryWindow
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
@@ -366,8 +366,7 @@ def save_model(model: LinearModel | GbdtModel, path) -> None:
             "n_features": model.n_features,
             "trees": list(model.trees),
         }
-    with atomic_writer(path) as fh:
-        json.dump(doc, fh, sort_keys=True)
+    atomic_write_text(path, json.dumps(doc, sort_keys=True))
 
 
 def load_model(path) -> LinearModel | GbdtModel:

@@ -85,22 +85,16 @@ class PipelineConfig:
 
         Relative paths resolve against `base_dir`. `backend.kind` and
         `backend.mock_script` are read in place of, and win over, the
-        top-level `backend_kind` and `mock_script`. A removed field is an
-        error, not silently ignored.
+        top-level `backend_kind` and `mock_script`. An unknown field, at
+        any depth, is an error, not silently ignored.
         """
         try:
-            nested = doc.get("backend")
-            nested = nested if isinstance(nested, dict) else {}
             doc = dict(doc)
-            if "extra_predictions" in doc:
-                raise ConfigError(
-                    "config field extra_predictions was removed: evaluate reports only "
-                    "predictions.csv and the classical baselines"
-                )
-            if "kind" in nested:
-                doc["backend_kind"] = nested["kind"]
-            if "mock_script" in nested:
-                doc["mock_script"] = nested["mock_script"]
+            if isinstance(doc.get("backend"), dict):
+                nested = doc["backend"] = dict(doc["backend"])
+                for key, field in (("kind", "backend_kind"), ("mock_script", "mock_script")):
+                    if key in nested:
+                        doc[field] = nested.pop(key)
             return _decode_fields(cls, doc, base_dir)
         except ConfigError:
             raise
@@ -160,6 +154,13 @@ def _decode_fields(cls, doc: dict, base_dir: Path | None, name: str | None = Non
         raise ConfigError(f"config field {name} must be an object")
     prefix = f"{name}." if name else ""
     hints = get_type_hints(cls)
+    keys = {
+        key for f in fields(cls)
+        for key in (("lat", "lon") if hints[f.name] is GeoPoint else (f.name,))
+    }
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(f"unknown config field: {prefix}{key}")
     kwargs = {}
     for f in fields(cls):
         hint = hints[f.name]

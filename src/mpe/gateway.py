@@ -24,7 +24,7 @@ from .errors import (
     ProtocolError,
     TransportError,
 )
-from .ioutil import atomic_writer
+from .ioutil import atomic_write_text
 
 ROLES = ("system", "user", "assistant")
 FINISH_REASONS = ("stop", "length", "error")
@@ -344,5 +344,4 @@ class CachingBackend(ChatBackend):
                 },
             },
         }
-        with atomic_writer(path) as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+        atomic_write_text(path, json.dumps(doc, sort_keys=True, separators=(",", ":")))

@@ -68,14 +68,12 @@ def _event_signature(block: str) -> tuple[int, frozenset[str]]:
 
 
 class _HistoryDay:
-    __slots__ = ("weekday", "out_a", "in_a", "out_b", "in_b", "signature", "has_events")
+    __slots__ = ("weekday", "out_a", "in_a", "signature", "has_events")
 
-    def __init__(self, weekday, out_a, in_a, out_b, in_b, signature):
+    def __init__(self, weekday, out_a, in_a, signature):
         self.weekday = weekday
         self.out_a = out_a    # deviation under r_i, raw demand under o
         self.in_a = in_a
-        self.out_b = out_b    # baseline under r_i; None under o
-        self.in_b = in_b
         self.signature = signature
         self.has_events = signature[0] > 0
 
@@ -134,7 +132,6 @@ class HeuristicBackend(ChatBackend):
             if m:
                 history.append(_HistoryDay(
                     m.group(2), int(m.group(5)), int(m.group(6)),
-                    int(m.group(3)), int(m.group(4)),
                     _event_signature(m.group(7).lstrip(" |")),
                 ))
                 continue
@@ -142,7 +139,6 @@ class HeuristicBackend(ChatBackend):
             if m:
                 history.append(_HistoryDay(
                     m.group(2), int(m.group(3)), int(m.group(4)),
-                    None, None,
                     _event_signature(m.group(5).lstrip(" |")),
                 ))
                 continue

@@ -184,41 +184,31 @@ def _stat(path: Path) -> list[int] | None:
 
 
 class _FileDigests:
-    """SHA-256 of files, reusing a digest that any manifest entry recorded
-    for the same path while the file's stat equals the recorded one.
+    """SHA-256 of files, reusing the digest that the manifest's file table
+    records for a path while the file's stat equals the recorded one.
 
-    `stat` collects, per path digested, the record a new manifest entry may
-    keep: the stat taken before hashing, only if the file's stat did not
-    change while it was read and its ctime was outside the racy margin.
-    A file hashed inside the margin is held in `racy` until `settle`.
+    A file that is hashed is recorded in the table, as its stat followed by
+    its digest, only if its stat did not change while it was read and its
+    ctime was outside the racy margin; `added` tells whether any was.
     """
 
     def __init__(self, manifest: dict):
-        self.known: dict[str, list[tuple[object, str]]] = {}
-        for entry in manifest["stages"].values():
-            stat, inputs, outputs = (entry.get(k) for k in ("stat", "inputs", "outputs"))
-            if not all(isinstance(m, dict) for m in (stat, inputs, outputs)):
-                continue  # a misshapen record reads as none
-            for path, record in stat.items():
-                digest = inputs.get(path, outputs.get(path))
-                if isinstance(digest, str):
-                    self.known.setdefault(path, []).append((record, digest))
-        self.stat: dict[str, list[int]] = {}
-        self.racy: dict[str, tuple[list[int], str]] = {}
+        files = manifest.get("files")
+        self.files = manifest["files"] = files if isinstance(files, dict) else {}
+        self.added = False
 
     def __call__(self, path: Path) -> str | None:
         """The file's SHA-256, or None when it does not exist."""
         key = str(path)
-        self.stat.pop(key, None)
-        self.racy.pop(key, None)
         now = time.time_ns()
         before = _stat(path)
         if before is None:
             return None
-        for record, digest in self.known.get(key, ()):
-            if record == before:
-                self.stat[key] = before
-                return digest
+        record = self.files.get(key)
+        if (isinstance(record, list) and len(record) == 6 and record[:5] == before
+                and isinstance(record[5], str)):
+            return record[5]
+        self.files.pop(key, None)  # stale or misshapen
         sha = hashlib.sha256()
         try:
             with open(path, "rb") as fh:
@@ -227,25 +217,10 @@ class _FileDigests:
         except FileNotFoundError:
             return None
         digest = sha.hexdigest()
-        if _stat(path) == before:
-            if before[4] < now - _RACY_MARGIN_NS:
-                self.stat[key] = before
-            else:
-                self.racy[key] = (before, digest)
+        if _stat(path) == before and before[4] < now - _RACY_MARGIN_NS:
+            self.files[key] = [*before, digest]
+            self.added = True
         return digest
-
-    def settle(self) -> None:
-        """Hash again each file that was inside the racy margin when hashed
-        and is outside it now, so that its stat is recorded after all; a
-        file whose digest changed meanwhile gets no record."""
-        for key, (before, digest) in list(self.racy.items()):
-            if before[4] < time.time_ns() - _RACY_MARGIN_NS and self(Path(key)) != digest:
-                self.stat.pop(key, None)
-
-
-def _json_digest(value) -> str:
-    blob = json.dumps(value, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _manifest_path(config: PipelineConfig) -> Path:
@@ -275,7 +250,6 @@ def save_manifest(config: PipelineConfig, manifest: dict) -> None:
 class StageResult(NamedTuple):
     stage: str
     skipped: bool
-    outputs: tuple[str, ...]
     stats: dict
 
 
@@ -790,8 +764,10 @@ def _stage_report(config: PipelineConfig, _backend) -> dict:
         "",
         "Model performance (pooled pickups + dropoffs):",
     ]
+    models = set()
     with open(artifact_path(config, "report"), newline="") as fh:
         for row in csv.DictReader(fh):
+            models.add(row["model"])
             if row["segment"] not in ("all", "event", "non_event"):
                 continue
             lines.append(
@@ -799,20 +775,22 @@ def _stage_report(config: PipelineConfig, _backend) -> dict:
                 f" n={row['n']:<5} rmse={row['rmse']:<11} mae={row['mae']:<11}"
                 f" mape={row['mape'] or 'n/a':<9} r2={row['r2'] or 'n/a'}"
             )
-    stages = load_manifest(config).get("stages", {})
-    predict_stats = stages.get("predict", {}).get("stats", {})
-    if predict_stats:
-        lines += [
-            "",
-            f"Prediction fallback rate: {predict_stats.get('fallback_rate', 0.0):.4f}"
-            f" ({predict_stats.get('fallbacks', 0)} of {predict_stats.get('days', 0)} days)",
-        ]
-    excluded = stages.get("evaluate", {}).get("stats", {}).get("mape_excluded", {})
-    skipped = {m: n for m, n in sorted(excluded.items()) if n}
-    if skipped:
+    with open(artifact_path(config, "predictions_detail")) as fh:
+        fallbacks = [json.loads(line)["fallback"] for line in fh]
+    rate = sum(fallbacks) / len(fallbacks) if fallbacks else 0.0
+    lines += [
+        "",
+        f"Prediction fallback rate: {rate:.4f} ({sum(fallbacks)} of {len(fallbacks)} days)",
+    ]
+    # Every model is scored on every test day, so each skips the same MAPE terms.
+    demand = demand_index(read_daily_demand_csv(artifact_path(config, "daily_demand")))
+    zeros = sum(
+        (demand[d].outflow == 0) + (demand[d].inflow == 0) for d in config.test_range.days()
+    )
+    if zeros:
         lines.append(
             "MAPE terms skipped for zero true demand: "
-            + ", ".join(f"{m}={n}" for m, n in skipped.items())
+            + ", ".join(f"{m}={zeros}" for m in sorted(models))
         )
     ablation_path = artifact_path(config, "ablation_report")
     if ablation_path.exists():
@@ -845,8 +823,7 @@ class StageDef:
     are not among them: the files they name are read, and a file's digest
     is keyed by its path. `reads` lists files that must exist, as artifact
     names of earlier stages or as paths; `reads_if_present` lists files
-    whose absence is itself an input. `stats_of` names the stages whose
-    manifest stats the stage reads. `writes` names the artifacts it writes.
+    whose absence is itself an input. `writes` names the artifacts it writes.
     """
 
     run: Callable[[PipelineConfig, ChatBackend | None], dict]
@@ -854,7 +831,6 @@ class StageDef:
     reads: Callable[[PipelineConfig], list[str | Path]]
     writes: tuple[str, ...]
     reads_if_present: Callable[[PipelineConfig], list[str | Path]] = lambda c: []
-    stats_of: tuple[str, ...] = ()
 
     @property
     def needs_backend(self) -> bool:
@@ -940,9 +916,8 @@ _STAGE_DEFS: dict[str, StageDef] = {
     "report": StageDef(
         run=_stage_report,
         config=("venue", "test_range", "ablation"),
-        reads=lambda c: ["report"],
+        reads=lambda c: ["report", "predictions_detail", "daily_demand"],
         reads_if_present=lambda c: ["ablation_report"],
-        stats_of=("predict", "evaluate"),
         writes=("summary",),
     ),
 }
@@ -957,7 +932,7 @@ def _stage_def(stage: str) -> StageDef:
 
 
 def _input_digests(
-    stage: str, config: PipelineConfig, manifest: dict, digest: _FileDigests
+    stage: str, config: PipelineConfig, digest: _FileDigests
 ) -> dict[str, str | None]:
     """Digests of everything the stage reads; a required file must exist."""
     stage_def = _STAGE_DEFS[stage]
@@ -977,11 +952,6 @@ def _input_digests(
     for item in stage_def.reads_if_present(config):
         path = artifact_path(config, item) if isinstance(item, str) else Path(item)
         digests[str(path)] = digest(path)
-    for name in stage_def.stats_of:
-        entry = manifest["stages"].get(name)
-        digests[f"manifest.json#stages.{name}.stats"] = (
-            None if entry is None else _json_digest(entry.get("stats"))
-        )
     return digests
 
 
@@ -994,38 +964,40 @@ def _output_digests(
     }
 
 
-def _stage_state(
-    stage: str, config: PipelineConfig, manifest: dict, digest: _FileDigests
-) -> dict:
-    """The stage's config slice, inputs and outputs, as the manifest records them."""
-    config_slice = {name: encode(getattr(config, name)) for name in _STAGE_DEFS[stage].config}
-    return {
-        "config_slice": _json_digest(config_slice),
-        "inputs": _input_digests(stage, config, manifest, digest),
+def _check(stage: str, config: PipelineConfig) -> tuple[dict, _FileDigests, dict, bool]:
+    """The skip check: the manifest, its file digests, the stage's state (its
+    config slice, inputs and outputs, as the manifest records them) and
+    whether the stage's entry matches that state."""
+    manifest = load_manifest(config)
+    digest = _FileDigests(manifest)
+    config_slice = json.dumps(
+        {name: encode(getattr(config, name)) for name in _STAGE_DEFS[stage].config},
+        sort_keys=True, separators=(",", ":"),
+    )
+    state = {
+        "config_slice": hashlib.sha256(config_slice.encode("utf-8")).hexdigest(),
+        "inputs": _input_digests(stage, config, digest),
         "outputs": _output_digests(stage, config, digest),
     }
-
-
-def _up_to_date(manifest: dict, stage: str, state: dict) -> bool:
     entry = manifest["stages"].get(stage)
-    return entry is not None and all(entry.get(key) == value for key, value in state.items())
+    return manifest, digest, state, entry is not None and all(
+        entry.get(key) == value for key, value in state.items()
+    )
 
 
 def plan_stage(stage: str, config: PipelineConfig) -> dict:
     """Dry-run view: whether the stage would be skipped, and its files."""
     stage_def = _stage_def(stage)
-    manifest = load_manifest(config)
     try:
-        state = _stage_state(stage, config, manifest, _FileDigests(manifest))
+        _, _, state, up_to_date = _check(stage, config)
         blocked = []
     except (ConfigError, PreconditionError) as exc:
-        state = None
-        blocked = [str(exc)]
+        state, up_to_date, blocked = {"inputs": {}}, False, [str(exc)]
     return {
         "stage": stage,
-        "inputs": sorted(state["inputs"]) if state else [],
+        "inputs": sorted(state["inputs"]),
         "outputs": [str(artifact_path(config, n)) for n in stage_def.writes],
-        "would_skip": state is not None and _up_to_date(manifest, stage, state),
+        "would_skip": up_to_date,
         "blocked": blocked,
     }
 
@@ -1035,29 +1007,27 @@ def run_stage(
     config: PipelineConfig,
     backend: ChatBackend | None = None,
 ) -> StageResult:
-    """Run one stage, or skip it when its declared inputs and outputs are unchanged."""
+    """Run one stage, or skip it when its declared inputs and outputs are
+    unchanged. A skip saves the manifest only when its check recorded a file."""
     stage_def = _stage_def(stage)
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    manifest = load_manifest(config)
-    digest = _FileDigests(manifest)
-    state = _stage_state(stage, config, manifest, digest)
-    if _up_to_date(manifest, stage, state):
-        return StageResult(stage, True, stage_def.writes, manifest["stages"][stage].get("stats", {}))
+    manifest, digest, state, up_to_date = _check(stage, config)
+    if up_to_date:
+        if digest.added:
+            save_manifest(config, manifest)
+        return StageResult(stage, True, manifest["stages"][stage].get("stats", {}))
 
     if stage_def.needs_backend and backend is None:
         backend = build_backend(config)
     stats = stage_def.run(config, backend)
-    outputs = _output_digests(stage, config, digest)
-    digest.settle()
     manifest["stages"][stage] = {
         **state,
-        "outputs": outputs,
-        "stat": digest.stat,
+        "outputs": _output_digests(stage, config, digest),
         "stats": stats,
         "completed_at": datetime.now(timezone.utc).isoformat(),
     }
     save_manifest(config, manifest)
-    return StageResult(stage, False, stage_def.writes, stats)
+    return StageResult(stage, False, stats)
 
 
 DEFAULT_RUN_STAGES = ("ingest", "format_events", "decompose", "predict", "evaluate", "report")

@@ -365,7 +365,7 @@ def test_manifest_records_digests_and_backend(pipeline_run):
     config, _ = pipeline_run
     manifest = load_manifest(config)
     assert manifest["backend"] == "heuristic"
-    assert set(manifest) == {"backend", "stages"}
+    assert set(manifest) == {"backend", "files", "stages"}
     predict_entry = manifest["stages"]["predict"]
     for digest in predict_entry["inputs"].values():
         assert len(digest) == 64
@@ -634,6 +634,27 @@ def test_report_reruns_after_ablate(small_config, tmp_path):
     assert run_stage("report", config).skipped
 
 
+def test_summary_keeps_its_bytes_without_the_manifest(small_config, tmp_path):
+    config = _fresh(small_config, tmp_path)
+    run_pipeline(config)
+    summary = artifact_path(config, "summary").read_bytes()
+    assert b"Prediction fallback rate: 0.0000 (0 of 14 days)\n" in summary
+    (config.output_dir / "manifest.json").unlink()
+    assert not run_stage("report", config).skipped
+    assert artifact_path(config, "summary").read_bytes() == summary
+
+
+def test_summary_counts_mape_terms_skipped_on_zero_demand_days(small_config, tmp_path):
+    empty_days = ("2021-07-04", "2021-07-10")  # no trip starts or ends on these test days
+    trips = tmp_path / "trips.csv"
+    with open(small_config.trip_source) as src, open(trips, "w") as dst:
+        dst.writelines(line for line in src if not any(day in line for day in empty_days))
+    config = _fresh(small_config, tmp_path, trip_source=trips)
+    run_pipeline(config)
+    assert "\nMAPE terms skipped for zero true demand: gbdt=4, historical_average=4," \
+        " linear=4, llm=4\n" in artifact_path(config, "summary").read_text()
+
+
 def test_config_documents_read_in_every_accepted_form(small_config, tmp_path):
     doc = small_config.to_dict()
     flat = {k: v for k, v in doc.items() if k not in ("backend", "output_dir")}
@@ -694,6 +715,22 @@ def test_integer_config_value_reads_where_a_number_is_declared(small_config, tmp
     assert config.to_dict() == doc
 
 
+@pytest.mark.parametrize("field", [
+    "histroy_days", "gbdt.n_tree", "baseline.lookback", "backend.retry_backof_s",
+    "venue.latitude", "venue.center",
+])
+def test_unknown_config_field_is_an_error(small_config, tmp_path, field):
+    doc = _with_field(small_config.to_dict(), field, 7)
+    with pytest.raises(ConfigError, match=re.escape(f"unknown config field: {field}")):
+        PipelineConfig.from_dict(doc, base_dir=tmp_path)
+
+
+def test_api_key_in_a_config_document_is_accepted_and_ignored(small_config, tmp_path):
+    doc = _with_field(small_config.to_dict(), "backend.api_key", "sk-secret")
+    config = PipelineConfig.from_dict(doc, base_dir=tmp_path)
+    assert config.backend.api_key is None
+
+
 def test_removed_extra_predictions_field_is_an_error(small_config, tmp_path):
     doc = dict(small_config.to_dict(), extra_predictions=["other.csv"])
     with pytest.raises(ConfigError, match="extra_predictions"):
@@ -734,15 +771,19 @@ def _pickups(config) -> int:
     ))
 
 
-def _stat_record(config, stage: str, path: Path):
-    return load_manifest(config)["stages"][stage]["stat"].get(str(path))
+def _stat_record(config, path: Path):
+    return load_manifest(config).get("files", {}).get(str(path))
 
 
 def _assert_recorded_digests_are_true(config) -> None:
-    for entry in load_manifest(config)["stages"].values():
+    manifest = load_manifest(config)
+    for entry in manifest["stages"].values():
         for key, digest in {**entry["inputs"], **entry["outputs"]}.items():
-            if digest is not None and not key.startswith("manifest.json#"):
+            if digest is not None:
                 assert digest == hashlib.sha256(Path(key).read_bytes()).hexdigest(), key
+    for key, record in manifest["files"].items():
+        if pipeline._stat(Path(key)) == record[:5]:
+            assert record[5] == hashlib.sha256(Path(key).read_bytes()).hexdigest(), key
 
 
 @pytest.fixture
@@ -770,13 +811,15 @@ def test_up_to_date_rerun_reads_no_unchanged_trip_file(small_config, tmp_path, s
     short_margin()  # the trip file is now older than the racy margin
     run_pipeline(config)
     assert opens.count(config.trip_source) == 2  # hashed once, read once by ingest
-    assert _stat_record(config, "ingest", config.trip_source) is not None
-    manifest = config.output_dir / "manifest.json"
-    written = (os.stat(manifest).st_ino, manifest.read_bytes())
+    assert _stat_record(config, config.trip_source) is not None
 
     opens.clear()
-    assert _ran(run_pipeline(config)) == set()
+    short_margin()  # every output is now older than the margin ...
+    assert _ran(run_pipeline(config)) == set()  # ... and this skip records them
     assert config.trip_source not in opens
+    manifest = config.output_dir / "manifest.json"
+    written = (os.stat(manifest).st_ino, manifest.read_bytes())
+    assert _ran(run_pipeline(config)) == set()
     assert (os.stat(manifest).st_ino, manifest.read_bytes()) == written
 
 
@@ -790,7 +833,7 @@ def test_same_size_edit_with_restored_mtime_reruns_ingest(tmp_path, short_margin
     config = _ingest_config(tmp_path)
     short_margin()
     run_stage("ingest", config)
-    assert _stat_record(config, "ingest", config.trip_source) is not None
+    assert _stat_record(config, config.trip_source) is not None
     assert _pickups(config) == 1
     sleep(0.01)  # a timestamp tick later
     _same_size_edit(config.trip_source, FAR_TRIPS)
@@ -819,7 +862,7 @@ def test_edit_inside_the_racy_window_reruns_ingest(tmp_path, monkeypatch, second
         sleep(1 - time_ns() % 1_000_000_000 / 1e9)
     config = _ingest_config(tmp_path)
     run_stage("ingest", config)
-    assert _stat_record(config, "ingest", config.trip_source) is None
+    assert _stat_record(config, config.trip_source) is None
     _same_size_edit(config.trip_source, FAR_TRIPS)
     assert not run_stage("ingest", config).skipped
     assert _pickups(config) == 0
@@ -835,7 +878,7 @@ def test_trip_file_replaced_by_another_of_equal_size_and_mtime_reruns_ingest(
     config = _ingest_config(tmp_path)
     short_margin()
     run_stage("ingest", config)
-    assert _stat_record(config, "ingest", config.trip_source) is not None
+    assert _stat_record(config, config.trip_source) is not None
     other = tmp_path / "other.csv"
     _write_trips(other, FAR_PICKUP)
     mtime = os.stat(config.trip_source).st_mtime_ns
@@ -860,9 +903,9 @@ def test_copied_output_directory_is_hashed_again(
     short_margin()
     run_pipeline(replace(config, history_days=28))
     short_margin()  # every output is now older than the margin ...
-    run_pipeline(config)  # ... and is recorded as an input of the stages that re-run
+    run_pipeline(config)  # ... and is recorded by this run's checks
     decomposition = artifact_path(config, "decomposition")
-    assert _stat_record(config, "predict", decomposition) is not None
+    assert _stat_record(config, decomposition) is not None
     expected = decomposition.read_bytes()
 
     shutil.copytree(original / "out", copied / "out", copy_function=shutil.copy2)
@@ -879,26 +922,41 @@ def test_copied_output_directory_is_hashed_again(
 @pytest.mark.parametrize("misshapen", [
     pytest.param(lambda record: "x", id="string"),
     pytest.param(lambda record: [], id="list"),
-    pytest.param(lambda record: {"trips": record[:4]}, id="short_record"),
+    pytest.param(lambda record: {"trips": record[:5]}, id="short_record"),
     pytest.param(lambda record: {"trips": record + [0]}, id="long_record"),
+    pytest.param(lambda record: {"trips": record[:5] + [None]}, id="digest_not_a_string"),
 ])
 def test_misshapen_stat_reads_as_no_record(tmp_path, short_margin, misshapen):
+    """Each record below holds the trip file's stat after an edit and its
+    digest before it, so only the record's shape keeps it from being trusted."""
     config = _ingest_config(tmp_path)
     short_margin()
     run_stage("ingest", config)
     manifest_path = config.output_dir / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    record = manifest["stages"]["ingest"]["stat"][str(config.trip_source)]
-    stat = misshapen(record)
-    if isinstance(stat, dict):
-        stat = {str(config.trip_source): stat["trips"]}
-    manifest["stages"]["ingest"]["stat"] = stat
-    manifest_path.write_text(json.dumps(manifest))
+    digest = manifest["files"][str(config.trip_source)][5]
     sleep(0.01)
     _same_size_edit(config.trip_source, FAR_TRIPS)
+    files = misshapen(pipeline._stat(config.trip_source) + [digest])
+    if isinstance(files, dict):
+        files = {str(config.trip_source): files["trips"]}
+    manifest["files"] = files
+    manifest_path.write_text(json.dumps(manifest))
     assert not run_stage("ingest", config).skipped
     assert _pickups(config) == 0
     _assert_recorded_digests_are_true(config)
+
+
+def test_manifest_without_a_file_table_skips_and_gains_one(tmp_path, short_margin):
+    config = _ingest_config(tmp_path)
+    short_margin()
+    run_stage("ingest", config)
+    manifest_path = config.output_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["files"]
+    manifest_path.write_text(json.dumps(manifest))
+    assert run_stage("ingest", config).skipped
+    assert _stat_record(config, config.trip_source) is not None
 
 
 def _slow_ingest(monkeypatch, seconds: float, during=lambda: None):
@@ -913,16 +971,67 @@ def _slow_ingest(monkeypatch, seconds: float, during=lambda: None):
     monkeypatch.setitem(_STAGE_DEFS, "ingest", replace(ingest, run=run))
 
 
+@pytest.fixture
+def saves(monkeypatch):
+    """Paths of the manifests mpe.pipeline saved, in order."""
+    seen: list[Path] = []
+    save = pipeline.save_manifest
+
+    def counting_save(config, manifest):
+        seen.append(config.output_dir / "manifest.json")
+        save(config, manifest)
+
+    monkeypatch.setattr(pipeline, "save_manifest", counting_save)
+    return seen
+
+
+def _assert_first_skip_records_trip_file(config, short_margin, opens, saves) -> None:
+    """The first skip after the margin records the trip file and saves the
+    manifest once; a dry run before it saves nothing, and the next skip
+    neither opens a file nor saves."""
+    assert _stat_record(config, config.trip_source) is None
+    short_margin()
+    saves.clear()
+    assert plan_stage("ingest", config)["would_skip"]
+    assert saves == [] and _stat_record(config, config.trip_source) is None
+    assert run_stage("ingest", config).skipped
+    assert _stat_record(config, config.trip_source) is not None
+    assert len(saves) == 1
+    manifest = config.output_dir / "manifest.json"
+    written = (os.stat(manifest).st_ino, manifest.read_bytes())
+    opens.clear()
+    assert run_stage("ingest", config).skipped
+    assert opens == [] and len(saves) == 1
+    assert (os.stat(manifest).st_ino, manifest.read_bytes()) == written
+
+
 def test_input_leaving_the_racy_window_during_its_stage_is_recorded(
-    tmp_path, monkeypatch, short_margin, opens
+    tmp_path, monkeypatch, short_margin, opens, saves
 ):
     config = _ingest_config(tmp_path)
     _slow_ingest(monkeypatch, 0.1)
     run_stage("ingest", config)  # the trip file was inside the margin when hashed
-    assert _stat_record(config, "ingest", config.trip_source) is not None
+    _assert_first_skip_records_trip_file(config, short_margin, opens, saves)
+
+
+def test_trip_file_written_just_before_a_short_ingest_is_recorded_by_a_skip(
+    tmp_path, monkeypatch, opens, saves
+):
+    # A margin wide enough that the trip file is surely inside it when first hashed.
+    monkeypatch.setattr(pipeline, "_RACY_MARGIN_NS", 500_000_000)
+    config = _ingest_config(tmp_path)
+    run_stage("ingest", config)
+    _assert_first_skip_records_trip_file(config, lambda: sleep(0.6), opens, saves)
+
+
+def test_second_aged_all_skipped_run_opens_no_file(small_config, tmp_path, short_margin, opens):
+    config = _fresh(small_config, tmp_path)
+    run_pipeline(config, STAGES)
+    short_margin()
+    assert _ran(run_pipeline(config, STAGES)) == set()
     opens.clear()
-    assert run_stage("ingest", config).skipped
-    assert config.trip_source not in opens
+    assert _ran(run_pipeline(config, STAGES)) == set()
+    assert opens == []
 
 
 def test_input_edited_during_its_stage_is_not_recorded(tmp_path, monkeypatch):
@@ -931,7 +1040,7 @@ def test_input_edited_during_its_stage_is_not_recorded(tmp_path, monkeypatch):
     config = _ingest_config(tmp_path)
     _slow_ingest(monkeypatch, 0.6, lambda: _same_size_edit(config.trip_source, FAR_TRIPS))
     run_stage("ingest", config)
-    assert _stat_record(config, "ingest", config.trip_source) is None
+    assert _stat_record(config, config.trip_source) is None
     monkeypatch.undo()
     assert not run_stage("ingest", config).skipped
     assert _pickups(config) == 0
