@@ -13,6 +13,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
@@ -65,6 +66,12 @@ class ChatRequest:
     def text(self) -> str:
         """All message contents joined; used for substring script matching."""
         return "\n".join(m.content for m in self.messages)
+
+    @cached_property
+    def digest(self) -> str:
+        """64-hex SHA-256 digest of the canonical serialization, computed
+        once per request however many layers key it."""
+        return hashlib.sha256(canonical_serialization(self).encode("utf-8")).hexdigest()
 
 
 class TokenUsage(NamedTuple):
@@ -120,7 +127,7 @@ def canonical_serialization(request: ChatRequest) -> str:
 
 def cache_key(request: ChatRequest) -> str:
     """64-hex SHA-256 digest of the canonical request serialization."""
-    return hashlib.sha256(canonical_serialization(request).encode("utf-8")).hexdigest()
+    return request.digest
 
 
 class ChatBackend:

@@ -25,10 +25,16 @@ class GeoPoint:
 
 def haversine_m(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance in meters on a sphere of radius 6,371,000 m."""
-    phi1 = math.radians(a.lat)
-    phi2 = math.radians(b.lat)
-    dphi = math.radians(b.lat - a.lat)
-    dlam = math.radians(b.lon - a.lon)
+    return haversine_deg_m(a.lat, a.lon, b.lat, b.lon)
+
+
+def haversine_deg_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
+    """haversine_m from (lat1, lon1) to (lat2, lon2) in degrees, for callers
+    that hold bare coordinates and need no GeoPoint validation."""
+    phi1 = math.radians(lat1)
+    phi2 = math.radians(lat2)
+    dphi = math.radians(lat2 - lat1)
+    dlam = math.radians(lon2 - lon1)
     h = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2) ** 2
     # Clamp guards rounding slightly above 1 near antipodal points.
     return 2 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))

@@ -9,6 +9,7 @@ Pure function of the prompt, so runs are exactly reproducible offline.
 
 from __future__ import annotations
 
+import functools
 import re
 import threading
 
@@ -78,6 +79,26 @@ class _HistoryDay:
         self.has_events = signature[0] > 0
 
 
+# The windows of consecutive targets share all but one history line, so a
+# few hundred recent lines cover every reuse while keeping memory bounded.
+@functools.lru_cache(maxsize=256)
+def _history_day(line: str) -> _HistoryDay | None:
+    """The history day a prompt line renders, or None for any other line."""
+    m = _HISTORY_RI.match(line)
+    if m:
+        return _HistoryDay(
+            m.group(2), int(m.group(5)), int(m.group(6)),
+            _event_signature(m.group(7).lstrip(" |")),
+        )
+    m = _HISTORY_O.match(line)
+    if m:
+        return _HistoryDay(
+            m.group(2), int(m.group(3)), int(m.group(4)),
+            _event_signature(m.group(5).lstrip(" |")),
+        )
+    return None
+
+
 def _mean(pairs):
     n = len(pairs)
     return sum(p[0] for p in pairs) / n, sum(p[1] for p in pairs) / n
@@ -128,19 +149,9 @@ class HeuristicBackend(ChatBackend):
         baseline = None
         scheduled = None
         for line in lines:
-            m = _HISTORY_RI.match(line)
-            if m:
-                history.append(_HistoryDay(
-                    m.group(2), int(m.group(5)), int(m.group(6)),
-                    _event_signature(m.group(7).lstrip(" |")),
-                ))
-                continue
-            m = _HISTORY_O.match(line)
-            if m:
-                history.append(_HistoryDay(
-                    m.group(2), int(m.group(3)), int(m.group(4)),
-                    _event_signature(m.group(5).lstrip(" |")),
-                ))
+            day = _history_day(line)
+            if day is not None:
+                history.append(day)
                 continue
             m = _NEXT_DAY.match(line)
             if m:

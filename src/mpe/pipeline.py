@@ -96,6 +96,7 @@ from .prompts import (
     REPLY_FORM_PREDICTION,
     build_event_format_prompt,
     build_prediction_prompt,
+    render_history_line,
     round_half_up,
 )
 from .trips import (
@@ -229,7 +230,8 @@ def _manifest_path(config: PipelineConfig) -> Path:
 
 def load_manifest(config: PipelineConfig) -> dict:
     """The manifest; a missing, corrupt or misshapen one reads as no stages
-    recorded, and a stage entry that is not an object as absent."""
+    recorded, and a stage entry that is not an object as absent. An entry's
+    `"stat"` map, which manifests kept before the file table, is dropped."""
     try:
         manifest = json.loads(_manifest_path(config).read_text())
     except (OSError, ValueError):
@@ -237,6 +239,8 @@ def load_manifest(config: PipelineConfig) -> dict:
     if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
         return {"stages": {}}
     manifest["stages"] = {k: v for k, v in manifest["stages"].items() if isinstance(v, dict)}
+    for entry in manifest["stages"].values():
+        entry.pop("stat", None)
     return manifest
 
 
@@ -329,14 +333,9 @@ def _events_for_prompt(
     return tuple(out)
 
 
-def _history_window(
-    target: date,
-    history: _History,
-    history_days: int,
-    events_of: Callable[[DayEvents], tuple],
-) -> HistoryWindow:
-    """The `history_days` days before `target`, each with its events as
-    `events_of` presents them and its decomposition."""
+def _history_window(target: date, history: _History, history_days: int) -> HistoryWindow:
+    """The `history_days` days before `target`, each with its raw event
+    records and its decomposition."""
     days = []
     for offset in range(history_days, 0, -1):
         day = target - timedelta(days=offset)
@@ -344,7 +343,7 @@ def _history_window(
             raise StageError(f"no decomposition for history day {day} (target {target})")
         days.append(DayContext(
             date=day,
-            events=events_of(history.calendar[day]),
+            events=history.calendar[day].events,
             decomposition=history.decompositions[day],
         ))
     return HistoryWindow(tuple(days))
@@ -363,39 +362,34 @@ class DayPrediction(NamedTuple):
 
 
 def _predict_day(
-    target: date,
+    window: HistoryWindow,
+    lines: Sequence[str],
+    target: DayContext,
     history: _History,
     config: PipelineConfig,
     backend: ChatBackend,
     ablation: AblationConfig,
-    formatted: Mapping[tuple[str, str | None], tuple[str, str]] | None,
     templates: PromptTemplates,
 ) -> DayPrediction:
-    calendar, decompositions = history.calendar, history.decompositions
-    window = _history_window(
-        target, history, config.history_days,
-        lambda day_events: _events_for_prompt(day_events, ablation, formatted),
-    )
-
-    if target in decompositions:
-        baseline = decompositions[target].baseline
+    """Prompt for `target` from its window and the window's rendered lines,
+    and parse the reply; a malformed reply triggers one re-prompt with a
+    format reminder, then a fallback to the rounded baseline."""
+    day = target.date
+    if day in history.decompositions:
+        baseline = history.decompositions[day].baseline
     else:
-        baseline = weekday_baseline(history.demand, calendar, target, config.baseline)
+        baseline = weekday_baseline(history.demand, history.calendar, day, config.baseline)
 
-    target_context = DayContext(
-        date=target,
-        events=_events_for_prompt(calendar[target], ablation, formatted),
-        decomposition=None,
-    )
     request = build_prediction_prompt(
         window,
-        target_context,
+        target,
         baseline,
         ablation,
         model=config.model,
         templates=templates,
         description_word_cap=config.max_description_words,
         temperature=config.temperature,
+        history_lines=lines,
     )
     if config.max_tokens is not None:
         request = replace(request, max_tokens=config.max_tokens)
@@ -405,19 +399,61 @@ def _predict_day(
         digest = cache_key(attempt)
         response = backend.complete(attempt)
         try:
-            result = parse_prediction(response.content, target)
+            result = parse_prediction(response.content, day)
             return DayPrediction(result, False, tuple(failures), digest)
         except MalformedReplyError as exc:
-            failures.append(failure_record(target, digest, exc.raw, str(exc)))
+            failures.append(failure_record(day, digest, exc.raw, str(exc)))
 
     fallback = PredictionResult(
-        date=target,
+        date=day,
         pickup=max(0, round_half_up(baseline.outflow)),
         dropoff=max(0, round_half_up(baseline.inflow)),
         reasoning="fallback: baseline",
         raw_response=response.content,
     )
     return DayPrediction(fallback, True, tuple(failures), digest)
+
+
+def _run_predictions(
+    config: PipelineConfig,
+    backend: ChatBackend,
+    ablation: AblationConfig,
+    history: _History,
+    formatted: Mapping[tuple[str, str | None], tuple[str, str]] | None,
+    templates: PromptTemplates,
+    targets: DateRange,
+) -> list[DayPrediction]:
+    """One prediction per day of `targets`, in date order.
+
+    Each day from `history_days` before the first target on gets its events
+    and its history line once; a target's window is a slice of those.
+    """
+    n = config.history_days
+    first = targets.start - timedelta(days=n)
+    days = [first + timedelta(days=i) for i in range(n + targets.n_days)]
+
+    def events_of(day: date) -> tuple:
+        return _events_for_prompt(history.calendar[day], ablation, formatted)
+
+    contexts = []
+    for day in days[:-1]:
+        if day not in history.decompositions:
+            target = max(targets.start, day + timedelta(days=1))
+            raise StageError(f"no decomposition for history day {day} (target {target})")
+        contexts.append(DayContext(day, events_of(day), history.decompositions[day]))
+    lines = [render_history_line(c, ablation, config.max_description_words) for c in contexts]
+    target_events = [c.events for c in contexts[n:]] + [events_of(days[-1])]
+
+    def run(i: int) -> DayPrediction:
+        return _predict_day(
+            HistoryWindow(tuple(contexts[i:i + n])),
+            lines[i:i + n],
+            DayContext(days[n + i], target_events[i]),
+            history, config, backend, ablation, templates,
+        )
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=config.concurrency) as pool:
+        return list(pool.map(run, range(targets.n_days)))
 
 
 def predict_next_day(
@@ -448,10 +484,12 @@ def predict_next_day(
         day = target - timedelta(days=offset)
         baseline = weekday_baseline(demand, calendar, day, config.baseline)
         decompositions[day] = decompose(demand[day], baseline)
-    return _predict_day(
-        target, _History(demand, calendar, decompositions), config, backend,
-        config.ablation, formatted, config.templates(),
-    ).result
+    history = _History(demand, calendar, decompositions)
+    (prediction,) = _run_predictions(
+        config, backend, config.ablation, history, formatted, config.templates(),
+        DateRange(target, target),
+    )
+    return prediction.result
 
 
 # ---------------------------------------------------------------------------
@@ -538,27 +576,13 @@ def _backend_call_count(backend: ChatBackend) -> int | None:
     return getattr(backend, "call_count", None)
 
 
-def _run_predictions(
-    config: PipelineConfig,
-    backend: ChatBackend,
-    ablation: AblationConfig,
-    history: _History,
-    formatted: Mapping[tuple[str, str | None], tuple[str, str]] | None,
-    templates: PromptTemplates,
-) -> list[DayPrediction]:
-    def run(target: date) -> DayPrediction:
-        return _predict_day(target, history, config, backend, ablation, formatted, templates)
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-        return list(pool.map(run, config.test_range.days()))
-
-
 def _stage_predict(config: PipelineConfig, backend: ChatBackend) -> dict:
     history = _load_history(config)
     formatted = _formatted_lookup(config) if _h_prime(config) else None
     before = _backend_call_count(backend)
     predictions = _run_predictions(
-        config, backend, config.ablation, history, formatted, config.templates()
+        config, backend, config.ablation, history, formatted, config.templates(),
+        config.test_range,
     )
 
     _write_prediction_csv(
@@ -623,7 +647,7 @@ def _fit_classical(
     def features(targets: Sequence[date]) -> np.ndarray:
         return np.array([
             featurize_day(
-                _history_window(target, history, config.history_days, lambda e: e.events),
+                _history_window(target, history, config.history_days),
                 history.calendar[target],
                 feat_config,
             )
@@ -729,7 +753,9 @@ def _stage_ablate(config: PipelineConfig, backend: ChatBackend) -> dict:
     templates = config.templates()
 
     def llm_runner(ablation: AblationConfig) -> list[EvalRecord]:
-        predictions = _run_predictions(config, backend, ablation, history, formatted, templates)
+        predictions = _run_predictions(
+            config, backend, ablation, history, formatted, templates, config.test_range
+        )
         return [
             EvalRecord(p.result.date, history.demand[p.result.date],
                        Flows(float(p.result.pickup), float(p.result.dropoff)))

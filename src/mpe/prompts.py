@@ -283,12 +283,16 @@ def build_prediction_prompt(
     templates: PromptTemplates = DEFAULT_TEMPLATES,
     description_word_cap: int = DEFAULT_DESCRIPTION_WORD_CAP,
     temperature: float = 0.0,
+    history_lines: Sequence[str] | None = None,
 ) -> ChatRequest:
     """Single user message: instruction, history lines, target block, guidelines.
 
     Under r_i the target's rounded baseline is introduced as the expected
     demand on a regular day; under o it is omitted. Under NA no event text
     appears anywhere, including the instruction and guidelines.
+    `history_lines`, when given, are the window's days as
+    `render_history_line` renders them under the same ablation and cap, so a
+    caller whose windows overlap renders each day once.
     """
     if target.date != window.end + timedelta(days=1):
         raise ValueError(
@@ -296,6 +300,12 @@ def build_prediction_prompt(
         )
     if target.decomposition is not None:
         raise ValueError("target day must not carry a decomposition")
+    if history_lines is None:
+        history_lines = [
+            render_history_line(day, ablation, description_word_cap) for day in window.days
+        ]
+    elif len(history_lines) != window.t:
+        raise ValueError(f"{len(history_lines)} history lines for a {window.t}-day window")
 
     with_events = ablation.event_features is not EventFeatures.NA
     event_input_clause = (
@@ -305,10 +315,6 @@ def build_prediction_prompt(
         else ""
     )
     factor_clause = ", event category, and performer popularity" if with_events else ""
-
-    history_block = "\n".join(
-        render_history_line(day, ablation, description_word_cap) for day in window.days
-    )
 
     target_lines = []
     if ablation.demand_features is DemandFeatures.R_I:
@@ -329,7 +335,7 @@ def build_prediction_prompt(
         target_weekday=target.weekday,
         history_days=window.t,
         event_input_clause=event_input_clause,
-        history_block=history_block,
+        history_block="\n".join(history_lines),
         target_block=target_block,
         factor_clause=factor_clause,
     )

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 from zoneinfo import ZoneInfo
 
 from .errors import SchemaError
-from .geo import GeoPoint, bounding_box, haversine_m
+from .geo import GeoPoint, bounding_box, haversine_deg_m
 from .ioutil import atomic_writer
 
 REQUIRED_COLUMNS = (
@@ -195,22 +195,23 @@ def aggregate_daily_demand(
     when the pickup point is within the venue radius, and the inflow of its
     dropoff date when the dropoff point is; a trip inside the radius at both
     ends counts once in each flow. Only an end inside the venue's bounding
-    box can be within the radius, and the exact haversine_m decides each
-    such end. Days with no qualifying trips emit (0, 0). Timestamps are
+    box can be within the radius, and the exact haversine_m distance,
+    taken on the bare coordinates, decides each such end. Days with no qualifying trips emit (0, 0). Timestamps are
     venue-local by the CSV contract, so date attribution is direct.
     """
     center, radius_m = venue.center, venue.radius_m
+    clat, clon = center.lat, center.lon
     lat_min, lat_max, lon_min, lon_max = bounding_box(center, radius_m)
     outflow: dict[date, int] = {d: 0 for d in date_range.days()}
     inflow: dict[date, int] = {d: 0 for d in date_range.days()}
     for pickup_time, dropoff_time, plat, plon, dlat, dlon in trips:
         if lat_min <= plat <= lat_max and lon_min <= plon <= lon_max:
             pd = pickup_time.date()
-            if pd in outflow and haversine_m(GeoPoint(plat, plon), center) <= radius_m:
+            if pd in outflow and haversine_deg_m(plat, plon, clat, clon) <= radius_m:
                 outflow[pd] += 1
         if lat_min <= dlat <= lat_max and lon_min <= dlon <= lon_max:
             dd = dropoff_time.date()
-            if dd in inflow and haversine_m(GeoPoint(dlat, dlon), center) <= radius_m:
+            if dd in inflow and haversine_deg_m(dlat, dlon, clat, clon) <= radius_m:
                 inflow[dd] += 1
     return [DailyDemand(d, outflow[d], inflow[d]) for d in date_range.days()]
 

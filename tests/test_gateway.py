@@ -6,10 +6,12 @@ import os
 import random
 import string
 import threading
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from mpe import gateway
 from mpe.errors import ConfigError, MissingScriptError, ProtocolError, TransportError
 from mpe.gateway import (
     BackendConfig,
@@ -97,6 +99,24 @@ def test_canonical_serialization_is_compact_and_ordered():
     text = canonical_serialization(_request("hi"))
     assert text.startswith('{"model":"gpt-4","temperature":0.0,"messages":')
     assert " " not in text.split('"messages"')[0]
+
+
+def test_cache_key_serialises_a_request_once(monkeypatch, tmp_path):
+    serialised = []
+
+    def counting(request):
+        serialised.append(request)
+        return canonical_serialization(request)
+
+    monkeypatch.setattr(gateway, "canonical_serialization", counting)
+    request = _request("keyed by every layer")
+    digest = cache_key(request)
+    backend = CachingBackend(ScriptedBackend({digest: "scripted"}), tmp_path / "store")
+    assert backend.complete(request).content == "scripted"
+    assert cache_key(request) == digest
+    assert serialised == [request]
+    assert cache_key(replace(request, temperature=0.5)) != digest
+    assert len(serialised) == 2
 
 
 def test_no_digest_collisions_across_10k_random_requests():

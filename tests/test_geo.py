@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpe.geo import EARTH_RADIUS_M, GeoPoint, bounding_box, haversine_m
+from mpe.geo import EARTH_RADIUS_M, GeoPoint, bounding_box, haversine_deg_m, haversine_m
 
 from oracles import destination_point, haversine_atan2
 
@@ -82,6 +82,14 @@ _LOG_RADII = st.one_of(st.floats(0.0, math.log10(2e7)), st.sampled_from([0.0, ma
 _BEARINGS = st.one_of(st.floats(0.0, 2 * math.pi), st.sampled_from([0.0, 0.5, 1.0, 1.5]).map(
     lambda turns: turns * math.pi))
 _FRACTIONS = st.one_of(st.floats(0.0, 1.0), st.floats(1.0 - 1e-9, 1.0 + 1e-12))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_LATS, _LONS, _LATS, _LONS)
+def test_bare_coordinate_haversine_is_bit_identical(lat, lon, clat, clon):
+    center = GeoPoint(clat, clon)
+    got = haversine_deg_m(lat, lon, clat, clon)
+    assert got.hex() == haversine_m(GeoPoint(lat, lon), center).hex()
 
 
 @settings(max_examples=1000, deadline=None)

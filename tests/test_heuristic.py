@@ -6,18 +6,22 @@ import time
 
 import pytest
 
+from mpe import heuristic
 from mpe.errors import MissingScriptError
 from mpe.gateway import ChatMessage, ChatRequest
 from mpe.heuristic import HeuristicBackend, infer_category
 from mpe.parsing import parse_formatted_event, parse_prediction
 from mpe.prompts import (
     AblationConfig,
+    DayContext,
     DemandFeatures,
     EventFeatures,
+    HistoryWindow,
     build_event_format_prompt,
     build_prediction_prompt,
 )
 
+from conftest import SNAPSHOT_DIR
 from prompt_fixtures import (
     NO_DESCRIPTION_EVENT,
     TARGET_BASELINE,
@@ -139,3 +143,71 @@ def test_call_count_exact_under_concurrent_calls():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert backend.call_count == n_threads * calls_each
+
+
+def _clear_memos():
+    """Empty every memo the heuristic module keeps, so the next parse is fresh."""
+    for value in vars(heuristic).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def test_replies_to_golden_prompts_equal_fresh_uncached_parses():
+    requests = [
+        ChatRequest("gpt-4", (ChatMessage("user", path.read_text()),))
+        for path in sorted(SNAPSHOT_DIR.glob("*.txt"))
+    ]
+    assert len(requests) == 5
+    fresh = []
+    for request in requests:
+        _clear_memos()
+        fresh.append(HeuristicBackend().complete(request))
+    backend = HeuristicBackend()
+    for order in (requests, requests[::-1], requests):  # later passes hit warm memos
+        replies = {request: backend.complete(request) for request in order}
+        assert [replies[request] for request in requests] == fresh
+
+
+def test_memoised_replies_hold_under_concurrent_calls():
+    # Windows one day apart share all but one history line, as in the pipeline.
+    ablation = AblationConfig()
+    window = build_snapshot_window(ablation)
+    span = window.t // 2
+    requests = [
+        build_prediction_prompt(
+            HistoryWindow(window.days[k:k + span]),
+            DayContext(window.days[k + span].date, build_snapshot_target(ablation).events),
+            TARGET_BASELINE,
+            ablation,
+        )
+        for k in range(window.t - span)
+    ]
+    _clear_memos()
+    expected = [HeuristicBackend().complete(request) for request in requests]
+    backend = HeuristicBackend()
+    n_threads = 8
+    start = threading.Barrier(n_threads)
+    mismatches = []
+
+    def worker(shift):
+        start.wait(timeout=10)
+        for _ in range(5):
+            for i in range(len(requests)):
+                j = (i + shift) % len(requests)
+                if backend.complete(requests[j]) != expected[j]:
+                    mismatches.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _clear_memos()
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+    assert backend.call_count == n_threads * 5 * len(requests)

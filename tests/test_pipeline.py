@@ -6,6 +6,8 @@ import json
 import os
 import re
 import shutil
+import sys
+import threading
 from dataclasses import replace
 from datetime import date, time, timedelta
 from pathlib import Path
@@ -13,7 +15,7 @@ from time import sleep, time_ns
 
 import pytest
 
-from mpe import pipeline
+from mpe import gateway, pipeline, prompts
 from mpe.baselines import GbdtParams
 from mpe.config import encode
 from mpe.decomposition import BaselineConfig
@@ -465,6 +467,80 @@ def test_baseline_config_from_dict_round_trip():
     assert config.lookback_weeks == 6
     with pytest.raises(ValueError):
         BaselineConfig(lookback_weeks=0)
+
+
+# --- the prediction loop ---------------------------------------------------------------
+
+PRE_PREDICT = ("ingest", "format_events", "decompose")
+
+
+def test_each_stage_renders_each_history_day_once_per_ablation(
+    small_config, tmp_path, monkeypatch
+):
+    config = _fresh(small_config, tmp_path)
+    run_pipeline(config, PRE_PREDICT)
+    rendered = []
+    original = prompts.render_history_line
+
+    def counting(day, ablation, *args, **kwargs):
+        rendered.append((day.date, ablation))
+        return original(day, ablation, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mpe" and getattr(module, "render_history_line", None) is original:
+            monkeypatch.setattr(module, "render_history_line", counting)
+    days = config.test_range.n_days + config.history_days - 1
+    for stage, ablations in (("predict", 1), ("ablate", 6)):
+        rendered.clear()
+        assert not run_stage(stage, config).skipped
+        assert len(rendered) == len(set(rendered)) == ablations * days, stage
+
+
+class _SleepingBackend(HeuristicBackend):
+    """Sleeps in each call, as a backend waiting on the network does."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads = set()
+        self.in_flight = self.peak = 0
+        self._flight = threading.Lock()
+
+    def complete(self, request):
+        with self._flight:
+            self.threads.add(threading.get_ident())
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            sleep(0.05)
+            return super().complete(request)
+        finally:
+            with self._flight:
+                self.in_flight -= 1
+
+
+def test_predict_keeps_concurrency_requests_in_flight(small_config, tmp_path):
+    config = _fresh(small_config, tmp_path, concurrency=3)
+    run_pipeline(config, PRE_PREDICT)
+    backend = _SleepingBackend()
+    run_stage("predict", config, backend)
+    assert backend.call_count == config.test_range.n_days
+    assert backend.peak == len(backend.threads) == 3
+
+
+def test_predict_serialises_each_request_once(small_config, tmp_path, monkeypatch):
+    config = _fresh(small_config, tmp_path, cache_dir=tmp_path / "cache")
+    run_pipeline(config, PRE_PREDICT)
+    serialised = []
+    original = gateway.canonical_serialization
+
+    def counting(request):
+        serialised.append(request)
+        return original(request)
+
+    monkeypatch.setattr(gateway, "canonical_serialization", counting)
+    backend = build_backend(config)
+    run_stage("predict", config, backend)
+    assert len(serialised) == backend.hits + backend.misses == config.test_range.n_days
 
 
 # --- per-stage invalidation -------------------------------------------------------------
@@ -957,6 +1033,22 @@ def test_manifest_without_a_file_table_skips_and_gains_one(tmp_path, short_margi
     manifest_path.write_text(json.dumps(manifest))
     assert run_stage("ingest", config).skipped
     assert _stat_record(config, config.trip_source) is not None
+
+
+def test_recording_skip_drops_the_stat_maps_of_an_older_manifest(tmp_path, short_margin):
+    config = _ingest_config(tmp_path)
+    short_margin()
+    run_stage("ingest", config)
+    manifest_path = config.output_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    # Before the file table, each stage entry kept a stat map of its own.
+    stats = {key: record[:5] for key, record in manifest.pop("files").items()}
+    manifest["stages"]["ingest"]["stat"] = stats
+    manifest_path.write_text(json.dumps(manifest))
+    assert run_stage("ingest", config).skipped
+    saved = json.loads(manifest_path.read_text())
+    assert str(config.trip_source) in saved["files"]  # the skip recorded and saved
+    assert "stat" not in saved["stages"]["ingest"]
 
 
 def _slow_ingest(monkeypatch, seconds: float, during=lambda: None):
