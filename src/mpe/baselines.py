@@ -334,16 +334,25 @@ def fit_gbdt(X, y, params: GbdtParams = GbdtParams()) -> GbdtModel:
     )
 
 
-def predict_gbdt(model: GbdtModel, x) -> float:
+def predict_gbdt(model: GbdtModel, x):
+    """One row's prediction (a float), or each matrix row's (an array); rows go
+    down each tree as index sets, adding leaf values in tree order from 0."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (model.n_features,):
+    if x.ndim not in (1, 2) or x.shape[-1] != model.n_features:
         raise ValueError(f"feature dimension {x.shape} != ({model.n_features},)")
-    total = 0
-    for node in model.trees:
-        while "value" not in node:
-            node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-        total += node["value"]
-    return float(model.base_prediction + model.learning_rate * total)
+    X = x.reshape(-1, model.n_features)
+    total = np.zeros(len(X))
+    for tree in model.trees:
+        stack = [(tree, np.arange(len(X)))]
+        while stack:
+            node, rows = stack.pop()
+            if "value" in node:
+                total[rows] += node["value"]
+            else:
+                left = X[rows, node["feature"]] <= node["threshold"]
+                stack += [(node["left"], rows[left]), (node["right"], rows[~left])]
+    out = model.base_prediction + model.learning_rate * total
+    return float(out[0]) if x.ndim == 1 else out
 
 
 def save_model(model: LinearModel | GbdtModel, path) -> None:

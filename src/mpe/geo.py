@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 EARTH_RADIUS_M = 6_371_000.0
 
 
@@ -38,6 +40,22 @@ def haversine_deg_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float
     h = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2) ** 2
     # Clamp guards rounding slightly above 1 near antipodal points.
     return 2 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
+
+
+def haversine_deg_m_array(lat1, lon1, lat2: float, lon2: float) -> np.ndarray:
+    """haversine_deg_m from arrays of points (lat1, lon1) to one point.
+
+    The same formula in numpy. numpy's sin, cos and arcsin are not the C
+    library's, so a distance may differ from haversine_deg_m's in its last
+    few bits: a caller that needs the exact decision refines near-ties with
+    the scalar function.
+    """
+    phi1 = np.radians(lat1)
+    phi2 = math.radians(lat2)
+    dphi = np.radians(lat2 - lat1)
+    dlam = np.radians(lon2 - lon1)
+    h = np.sin(dphi / 2) ** 2 + np.cos(phi1) * math.cos(phi2) * np.sin(dlam / 2) ** 2
+    return 2 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
 class BoundingBox(NamedTuple):

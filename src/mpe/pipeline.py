@@ -15,7 +15,6 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import hashlib
-import itertools
 import json
 import os
 import time
@@ -103,9 +102,9 @@ from .trips import (
     DailyDemand,
     DateRange,
     RejectionNote,
+    TripFile,
     aggregate_daily_demand,
     demand_index,
-    iter_trip_rows,
     read_daily_demand_csv,
     write_daily_demand_csv,
 )
@@ -499,11 +498,10 @@ def predict_next_day(
 
 def _stage_ingest(config: PipelineConfig, _backend) -> dict:
     rejects: list[RejectionNote] = []
-    valid = itertools.count()  # zip below advances it once per valid row
     try:
-        with open(config.trip_source, newline="") as fh:
-            rows = (row for row, _ in zip(iter_trip_rows(fh, rejects), valid))
-            series = aggregate_daily_demand(rows, config.venue, config.full_range)
+        with open(config.trip_source, "rb") as fh:
+            trips = TripFile(fh, rejects)
+            series = aggregate_daily_demand(trips, config.venue, config.full_range)
     except OSError as exc:
         raise ConfigError(f"cannot read trip source {config.trip_source}: {exc}") from exc
     write_daily_demand_csv(series, artifact_path(config, "daily_demand"))
@@ -511,7 +509,7 @@ def _stage_ingest(config: PipelineConfig, _backend) -> dict:
         artifact_path(config, "ingest_rejects"),
         (json.dumps({"row": r.row, "reason": r.reason}, sort_keys=True) for r in rejects),
     )
-    return {"trips": next(valid), "rejects": len(rejects), "days": len(series)}
+    return {"trips": trips.valid, "rejects": len(rejects), "days": len(series)}
 
 
 def _stage_format_events(config: PipelineConfig, backend: ChatBackend) -> dict:
@@ -673,16 +671,18 @@ def _fit_classical(
     fits = {}
     for kind in kinds:
         if kind == "linear":
-            fit, params, predict = fit_linear, config.linear_ridge_lambda, predict_linear
+            fit, params = fit_linear, config.linear_ridge_lambda
         elif kind == "gbdt":
-            fit, params, predict = fit_gbdt, config.gbdt, predict_gbdt
+            fit, params = fit_gbdt, config.gbdt
         else:
             raise StageError(f"unknown classical model: {kind}")
         models = (fit(X_train, y_out, params), fit(X_train, y_in, params))
+        if kind == "gbdt":  # one call scores every test row
+            outs, ins = (predict_gbdt(m, X_test).tolist() for m in models)
+        else:
+            outs, ins = ([predict_linear(m, x) for x in X_test] for m in models)
         records = []
-        for target, x in zip(test_targets, X_test):
-            pred_out = predict(models[0], x)
-            pred_in = predict(models[1], x)
+        for target, pred_out, pred_in in zip(test_targets, outs, ins):
             if residual:
                 baseline = decompositions[target].baseline
                 pred_out += baseline.outflow

@@ -375,6 +375,33 @@ def test_predict_gbdt_dimension_check():
         predict_gbdt(model, [1.0, 2.0])
 
 
+def test_matrix_predict_gbdt_equals_per_row_calls_bit_for_bit():
+    X, y = _nonlinear_fixture(n=150, seed=5)
+    model = fit_gbdt(X, y, GbdtParams(n_trees=25, max_depth=4, learning_rate=0.2, min_leaf=3))
+    probe = np.vstack([X[:40], np.random.default_rng(8).uniform(-3, 3, size=(40, 5))])
+    matrix = predict_gbdt(model, probe)
+    assert isinstance(matrix, np.ndarray) and matrix.shape == (80,)
+    per_row = [predict_gbdt(model, row) for row in probe]
+    assert all(isinstance(p, float) for p in per_row)
+    assert matrix.tobytes() == np.array(per_row).tobytes()
+
+    def walk(row):  # one row down each tree, summing its leaves in order
+        total = 0
+        for node in model.trees:
+            while "value" not in node:
+                go_left = row[node["feature"]] <= node["threshold"]
+                node = node["left"] if go_left else node["right"]
+            total += node["value"]
+        return float(model.base_prediction + model.learning_rate * total)
+
+    assert per_row == [walk(row) for row in probe]
+    assert predict_gbdt(model, probe[:0]).shape == (0,)
+    with pytest.raises(ValueError):
+        predict_gbdt(model, probe[:, :4])
+    with pytest.raises(ValueError):
+        predict_gbdt(model, probe[None])
+
+
 def test_model_persistence_round_trip(tmp_path):
     X, y = _nonlinear_fixture(n=60)
     gbdt = fit_gbdt(X, y, GbdtParams(n_trees=5, max_depth=2, learning_rate=0.3, min_leaf=2))

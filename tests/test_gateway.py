@@ -5,6 +5,7 @@ import json
 import os
 import random
 import string
+import sys
 import threading
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -221,6 +222,79 @@ def test_corrupted_entry_is_refetched_and_overwritten(tmp_path):
     assert response.content == "cached reply"
     assert inner.calls == 2
     assert json.loads(path.read_text())["response"]["content"] == "cached reply"
+
+
+def test_cache_entry_bytes_mode_and_no_temp_files(tmp_path):
+    store = tmp_path / "store"
+    CachingBackend(CountingBackend(), store).complete(_request("mode probe"))
+    digest = cache_key(_request("mode probe"))
+    path = store / "sha256" / digest[:2] / f"{digest}.json"
+    doc = json.loads(path.read_bytes())
+    assert path.read_bytes() == json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    assert path.stat().st_mode & 0o777 == 0o600
+    assert [p.name for p in (store / "sha256").rglob("*") if p.is_file()] == [path.name]
+
+
+def test_two_threads_writing_one_entry_leave_one_whole_file(tmp_path):
+    class Meeting(CountingBackend):
+        """Answers only once both threads have missed the cache."""
+        barrier = threading.Barrier(2, timeout=10)
+
+        def complete(self, request):
+            self.barrier.wait()
+            return super().complete(request)
+
+    store = tmp_path / "store"
+    inner = Meeting()
+    backend = CachingBackend(inner, store)
+    threads = [
+        threading.Thread(target=backend.complete, args=(_request("race"),)) for _ in range(2)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert inner.calls == 2 and backend.misses == 2
+    files = [p for p in (store / "sha256").rglob("*") if p.is_file()]
+    assert [p.name for p in files] == [f"{cache_key(_request('race'))}.json"]
+    assert json.loads(files[0].read_text())["response"]["content"] == "cached reply"
+    assert CachingBackend(CountingBackend("other"), store).complete(_request("race")).content \
+        == "cached reply"
+
+
+def test_each_shard_directory_is_created_once(tmp_path, monkeypatch):
+    made = []
+    makedirs = os.makedirs
+
+    def counting(path, *args, **kwargs):
+        made.append(str(path))
+        return makedirs(path, *args, **kwargs)
+
+    store = tmp_path / "store"
+    backend = CachingBackend(CountingBackend(), store)
+    monkeypatch.setattr(gateway.os, "makedirs", counting)
+    requests = [_request(f"shard {i}") for i in range(400)]
+
+    def work(k):  # eight threads on two cores, each on its own 50 requests
+        for request in requests[k::8]:
+            backend.complete(request)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for request in requests[:50]:
+        backend.complete(request)
+    shards = {cache_key(r)[:2] for r in requests}
+    assert sorted(made) == sorted(str(store / "sha256" / s) for s in shards)
+    assert backend.misses == 400 and backend.hits == 50
 
 
 def test_cache_transparency_cold_store(tmp_path):
