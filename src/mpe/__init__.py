@@ -23,8 +23,6 @@ from .events import (
     EventRecord,
     FormattedEvent,
     day_events_index,
-    description_word_count,
-    events_for_day,
     parse_event_records,
 )
 from .gateway import (

@@ -15,7 +15,7 @@ from datetime import date, timedelta
 from typing import Mapping, NamedTuple, Sequence
 
 from .events import DayEvents
-from .ioutil import atomic_writer
+from .ioutil import write_csv
 from .trips import DailyDemand
 
 
@@ -143,16 +143,15 @@ DECOMPOSITION_COLUMNS = [
 
 def write_decomposition_csv(rows: Sequence[DemandDecomposition], path) -> None:
     # repr() keeps floats round-trippable so recomposition stays exact.
-    with atomic_writer(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DECOMPOSITION_COLUMNS)
-        for r in rows:
-            writer.writerow([
-                r.date.isoformat(),
-                r.actual.outflow, r.actual.inflow,
-                repr(r.baseline.outflow), repr(r.baseline.inflow),
-                repr(r.deviation.outflow), repr(r.deviation.inflow),
-            ])
+    write_csv(path, DECOMPOSITION_COLUMNS, (
+        [
+            r.date.isoformat(),
+            r.actual.outflow, r.actual.inflow,
+            repr(r.baseline.outflow), repr(r.baseline.inflow),
+            repr(r.deviation.outflow), repr(r.deviation.inflow),
+        ]
+        for r in rows
+    ))
 
 
 def read_decomposition_csv(path) -> list[DemandDecomposition]:

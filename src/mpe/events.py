@@ -126,11 +126,6 @@ def serialize_event_records(records: Sequence[EventRecord]) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False)
 
 
-def events_for_day(catalog: Sequence[EventRecord], day: date) -> DayEvents:
-    """All catalog events dated `day`, in DayEvents order."""
-    return DayEvents(day, tuple(e for e in catalog if e.date == day))
-
-
 def day_events_index(
     catalog: Sequence[EventRecord], date_range: DateRange
 ) -> Mapping[date, DayEvents]:
@@ -140,10 +135,3 @@ def day_events_index(
         if event.date in by_day:
             by_day[event.date].append(event)
     return {d: DayEvents(d, tuple(events)) for d, events in by_day.items()}
-
-
-def description_word_count(description: str | None) -> int:
-    """Whitespace-delimited token count; absent description counts 0."""
-    if description is None:
-        return 0
-    return len(description.split())

@@ -25,6 +25,7 @@ from .errors import (
     ProtocolError,
     TransportError,
 )
+from .ioutil import atomic_write_bytes
 
 ROLES = ("system", "user", "assistant")
 FINISH_REASONS = ("stop", "length", "error")
@@ -285,10 +286,10 @@ class CachingBackend(ChatBackend):
     """Overlay that serves stored responses and delegates on a miss.
 
     Entries live at `<store>/sha256/<first-2-hex>/<digest>.json`, holding the
-    request and response verbatim. Writes are temp-file-then-rename, from a
-    temp name of the writing process and thread, so concurrent writers of
-    one entry leave one whole file; a corrupted entry is treated as a miss
-    and overwritten.
+    request and response verbatim. Writes go through
+    `ioutil.atomic_write_bytes`, so concurrent writers of one entry leave one
+    whole file, and a shard directory is made when a write finds it missing;
+    a corrupted entry is treated as a miss and overwritten.
     """
 
     def __init__(self, inner: ChatBackend, store: Path | str):
@@ -303,7 +304,6 @@ class CachingBackend(ChatBackend):
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
-        self._shards: set[Path] = set()  # shard directories known to exist
 
     def _path(self, digest: str) -> Path:
         return self.store / "sha256" / digest[:2] / f"{digest}.json"
@@ -352,21 +352,4 @@ class CachingBackend(ChatBackend):
                 },
             },
         }
-        data = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-        with self._lock:
-            if path.parent not in self._shards:
-                os.makedirs(path.parent, exist_ok=True)
-                self._shards.add(path.parent)
-        tmp = path.parent / f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-        try:
-            try:
-                view = memoryview(data)
-                while view:
-                    view = view[os.write(fd, view):]
-            finally:
-                os.close(fd)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        atomic_write_bytes(path, json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())

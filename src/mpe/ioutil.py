@@ -1,29 +1,47 @@
-"""Atomic file writes: temp file in the target directory, then rename."""
+"""The one writer of artifacts and cache entries: temp file, then rename."""
 
 from __future__ import annotations
 
+import csv
+import io
 import os
-import tempfile
-from contextlib import contextmanager
+import threading
 from pathlib import Path
+from typing import Iterable, Sequence
 
 
-@contextmanager
-def atomic_writer(path, newline=None):
-    """Open a temp file for writing and rename it over `path` on success."""
+def atomic_write_bytes(path, data: bytes) -> None:
+    """Write `data` to `path` through a temp name unique to this process and
+    thread, then rename it over `path`; the file has mode 0600. A missing
+    parent directory is made, and the write tried once more."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
     try:
-        with os.fdopen(fd, "w", newline=newline) as fh:
-            yield fh
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
 def atomic_write_text(path, text: str) -> None:
-    with atomic_writer(path) as fh:
-        fh.write(text)
+    atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """`header`, then `rows`, in csv.writer's default dialect."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write_text(path, buf.getvalue())

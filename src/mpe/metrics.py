@@ -10,7 +10,6 @@ alongside for diagnosis.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import date
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -20,7 +19,7 @@ import numpy as np
 from .decomposition import Flows
 from .errors import AblationError
 from .events import DayEvents
-from .ioutil import atomic_writer
+from .ioutil import write_csv
 from .prompts import AblationConfig, DemandFeatures, EventFeatures
 from .trips import DailyDemand
 
@@ -225,11 +224,7 @@ def _report_rows(report: MetricsReport):
 
 def write_report_csv(reports: Sequence[MetricsReport], path) -> None:
     """Report CSV: every segment of each report, per-flow rows included."""
-    with atomic_writer(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for report in reports:
-            writer.writerows(_report_rows(report))
+    write_csv(path, REPORT_COLUMNS, (row for report in reports for row in _report_rows(report)))
 
 
 ABLATION_SEGMENTS = ("all", "event", "non_event")
@@ -238,14 +233,13 @@ ABLATION_SEGMENTS = ("all", "event", "non_event")
 def write_ablation_csv(rows: Sequence[AblationRow], path) -> None:
     """Ablation CSV: the pooled segments of each grid entry; a not-applicable
     entry is one `all` row with empty metric cells."""
-    with atomic_writer(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for row in rows:
-            if row.report is None:
-                writer.writerow([row.model_name, row.ablation.name, "all", "", "", "", "", ""])
-                continue
-            writer.writerows(r for r in _report_rows(row.report) if r[2] in ABLATION_SEGMENTS)
+    lines = []
+    for row in rows:
+        if row.report is None:
+            lines.append([row.model_name, row.ablation.name, "all", "", "", "", "", ""])
+        else:
+            lines.extend(r for r in _report_rows(row.report) if r[2] in ABLATION_SEGMENTS)
+    write_csv(path, REPORT_COLUMNS, lines)
 
 
 def write_plot_csv(
@@ -254,16 +248,14 @@ def write_plot_csv(
     path,
 ) -> None:
     """Per-day true vs predicted series for external charting."""
-    with atomic_writer(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "true_out", "true_in", "pred_out", "pred_in", "is_event_day"])
-        for rec in sorted(records, key=lambda r: r.date):
-            is_event = rec.date in calendar and calendar[rec.date].is_event_day
-            writer.writerow([
-                rec.date.isoformat(),
-                rec.true.outflow,
-                rec.true.inflow,
-                f"{rec.pred.outflow:.6f}",
-                f"{rec.pred.inflow:.6f}",
-                int(is_event),
-            ])
+    write_csv(path, ["date", "true_out", "true_in", "pred_out", "pred_in", "is_event_day"], (
+        [
+            rec.date.isoformat(),
+            rec.true.outflow,
+            rec.true.inflow,
+            f"{rec.pred.outflow:.6f}",
+            f"{rec.pred.inflow:.6f}",
+            int(rec.date in calendar and calendar[rec.date].is_event_day),
+        ]
+        for rec in sorted(records, key=lambda r: r.date)
+    ))

@@ -67,7 +67,7 @@ from .gateway import (
     cache_key,
 )
 from .heuristic import HeuristicBackend
-from .ioutil import atomic_write_text, atomic_writer
+from .ioutil import atomic_write_text, write_csv
 from .metrics import (
     AblationRow,
     EvalRecord,
@@ -268,11 +268,10 @@ def _write_jsonl(path: Path, lines: Iterable[str]) -> None:
 
 def _write_prediction_csv(rows: Iterable[tuple], model_name: str, path: Path) -> None:
     """A predictions CSV; the caller formats the two prediction columns."""
-    with atomic_writer(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "pred_out", "pred_in", "model_name"])
-        for day, pred_out, pred_in in rows:
-            writer.writerow([day.isoformat(), pred_out, pred_in, model_name])
+    write_csv(
+        path, ["date", "pred_out", "pred_in", "model_name"],
+        ([day.isoformat(), pred_out, pred_in, model_name] for day, pred_out, pred_in in rows),
+    )
 
 
 def _load_catalog(config: PipelineConfig) -> list[EventRecord]:
@@ -332,20 +331,20 @@ def _events_for_prompt(
     return tuple(out)
 
 
-def _history_window(target: date, history: _History, history_days: int) -> HistoryWindow:
-    """The `history_days` days before `target`, each with its raw event
-    records and its decomposition."""
-    days = []
-    for offset in range(history_days, 0, -1):
-        day = target - timedelta(days=offset)
+def _day_contexts(
+    history: _History, first: date, n_targets: int, n: int, events_of: Callable
+) -> list[DayContext]:
+    """The days from `n` before the first of `n_targets` consecutive targets
+    to the day before the last, each with events_of(day) and its
+    decomposition; target i's window is the slice [i:i + n]."""
+    contexts = []
+    for i in range(-n, n_targets - 1):
+        day = first + timedelta(days=i)
         if day not in history.decompositions:
+            target = max(first, day + timedelta(days=1))
             raise StageError(f"no decomposition for history day {day} (target {target})")
-        days.append(DayContext(
-            date=day,
-            events=history.calendar[day].events,
-            decomposition=history.decompositions[day],
-        ))
-    return HistoryWindow(tuple(days))
+        contexts.append(DayContext(day, events_of(day), history.decompositions[day]))
+    return contexts
 
 
 def _with_reminder(request: ChatRequest, reminder: str) -> ChatRequest:
@@ -428,26 +427,19 @@ def _run_predictions(
     and its history line once; a target's window is a slice of those.
     """
     n = config.history_days
-    first = targets.start - timedelta(days=n)
-    days = [first + timedelta(days=i) for i in range(n + targets.n_days)]
 
     def events_of(day: date) -> tuple:
         return _events_for_prompt(history.calendar[day], ablation, formatted)
 
-    contexts = []
-    for day in days[:-1]:
-        if day not in history.decompositions:
-            target = max(targets.start, day + timedelta(days=1))
-            raise StageError(f"no decomposition for history day {day} (target {target})")
-        contexts.append(DayContext(day, events_of(day), history.decompositions[day]))
+    contexts = _day_contexts(history, targets.start, targets.n_days, n, events_of)
     lines = [render_history_line(c, ablation, config.max_description_words) for c in contexts]
-    target_events = [c.events for c in contexts[n:]] + [events_of(days[-1])]
+    target_events = [c.events for c in contexts[n:]] + [events_of(targets.end)]
 
     def run(i: int) -> DayPrediction:
         return _predict_day(
             HistoryWindow(tuple(contexts[i:i + n])),
             lines[i:i + n],
-            DayContext(days[n + i], target_events[i]),
+            DayContext(targets.start + timedelta(days=i), target_events[i]),
             history, config, backend, ablation, templates,
         )
 
@@ -643,13 +635,15 @@ def _fit_classical(
     )
 
     def features(targets: Sequence[date]) -> np.ndarray:
+        n = config.history_days
+        contexts = _day_contexts(
+            history, targets[0], len(targets), n, lambda day: history.calendar[day].events
+        )
         return np.array([
             featurize_day(
-                _history_window(target, history, config.history_days),
-                history.calendar[target],
-                feat_config,
+                HistoryWindow(tuple(contexts[i:i + n])), history.calendar[target], feat_config
             )
-            for target in targets
+            for i, target in enumerate(targets)
         ])
 
     train_targets = [

@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SchemaError
 from .geo import GeoPoint, bounding_box, haversine_deg_m, haversine_deg_m_array
-from .ioutil import atomic_writer
+from .ioutil import write_csv
 
 REQUIRED_COLUMNS = (
     "pickup_datetime",
@@ -199,6 +199,9 @@ def parse_trip_records(
 # Most bytes ingest reads from the trip file at a time.
 BLOCK_SIZE = 256 * 1024
 
+# Most tuples _DayCounts.add_rows holds at a time.
+_ROW_BATCH = 4096
+
 # Relative half-width of the band around radius_m in which the numpy
 # haversine does not decide an end; haversine_deg_m decides it instead.
 _RADIUS_BAND = 1e-9
@@ -283,21 +286,14 @@ class _DayCounts:
         self.flows = np.zeros((2, date_range.n_days), np.int64)  # outflow, inflow
 
     def add_rows(self, trips: Iterable[tuple]) -> int:
-        """Count tuples in TripRecord's field order; returns how many."""
-        clat, clon, radius_m = self.clat, self.clon, self.radius_m
-        lat_min, lat_max, lon_min, lon_max = self.box
-        first, n_days = self.first, self.flows.shape[1]
-        outflow, inflow = self.flows
-        n = 0
-        for n, (pickup_time, dropoff_time, plat, plon, dlat, dlon) in enumerate(trips, 1):
-            if lat_min <= plat <= lat_max and lon_min <= plon <= lon_max:
-                i = pickup_time.toordinal() - first
-                if 0 <= i < n_days and haversine_deg_m(plat, plon, clat, clon) <= radius_m:
-                    outflow[i] += 1
-            if lat_min <= dlat <= lat_max and lon_min <= dlon <= lon_max:
-                i = dropoff_time.toordinal() - first
-                if 0 <= i < n_days and haversine_deg_m(dlat, dlon, clat, clon) <= radius_m:
-                    inflow[i] += 1
+        """Count tuples in TripRecord's field order, _ROW_BATCH at a time
+        through add_columns; returns how many."""
+        n, trips = 0, iter(trips)
+        while batch := list(itertools.islice(trips, _ROW_BATCH)):
+            n += len(batch)
+            pickup, dropoff, plat, plon, dlat, dlon = zip(*batch)
+            days = np.array([[t.toordinal() for t in pickup], [t.toordinal() for t in dropoff]])
+            self.add_columns(days, np.array([plat, dlat], float), np.array([plon, dlon], float))
         return n
 
     def add_columns(self, days, lats, lons) -> None:
@@ -510,11 +506,10 @@ def aggregate_daily_demand(
 
 
 def write_daily_demand_csv(series: Sequence[DailyDemand], path) -> None:
-    with atomic_writer(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "outflow", "inflow"])
-        for row in series:
-            writer.writerow([row.date.isoformat(), row.outflow, row.inflow])
+    write_csv(
+        path, ["date", "outflow", "inflow"],
+        ([row.date.isoformat(), row.outflow, row.inflow] for row in series),
+    )
 
 
 def read_daily_demand_csv(path) -> list[DailyDemand]:

@@ -212,13 +212,6 @@ def best_stump_variance_gain(xs, ys):
     return best
 
 
-def whitespace_word_count(text):
-    """Token count on whitespace via regex, independent of str.split."""
-    if text is None:
-        return 0
-    return len(re.findall(r"\S+", text))
-
-
 FORMATTED_REPLY_RE = re.compile(
     r"\[\s*category\s*\](?P<cat>.*?)\[\s*summary\s*\](?P<summ>.*)",
     re.IGNORECASE | re.DOTALL,

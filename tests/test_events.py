@@ -1,4 +1,4 @@
-"""Event catalog parsing, per-day mapping, and word counts."""
+"""Event catalog parsing and per-day mapping."""
 
 import json
 import os
@@ -12,21 +12,10 @@ from mpe.events import (
     DayEvents,
     FormattedEvent,
     day_events_index,
-    description_word_count,
-    events_for_day,
     parse_event_records,
     serialize_event_records,
 )
 from mpe.trips import DateRange
-
-from oracles import whitespace_word_count
-
-EXAMPLE_A_DESCRIPTION = (
-    "Charlie Wilson is bringing his nationwide In It to Win It Tour to Barclays "
-    "Center on March 29 with special guests Fantasia and Johnny Gill. Every ticket "
-    "purchased online will come with one physical copy of Charlie's new, upcoming "
-    "In It To Win It album."
-)
 
 
 def _entry(**kwargs):
@@ -86,13 +75,15 @@ def test_events_for_day_two_events():
         _entry(title="Evening", date="2014-07-20", start_time="17:00", end_time="20:00"),
         _entry(date="2014-07-21"),
     ]))
-    day = events_for_day(records, date(2014, 7, 20))
+    day = day_events_index(records, DateRange(date(2014, 7, 20), date(2014, 7, 21)))[
+        date(2014, 7, 20)
+    ]
     assert len(day.events) == 2
     assert day.is_event_day
 
 
 def test_events_for_day_empty():
-    day = events_for_day([], date(2014, 7, 20))
+    (day,) = day_events_index([], DateRange(date(2014, 7, 20), date(2014, 7, 20))).values()
     assert day.events == () and not day.is_event_day
 
 
@@ -102,18 +93,17 @@ def test_events_sorted_by_start_then_title():
         _entry(title="Earlier", date="2014-07-20", start_time="13:00", end_time="16:00"),
         _entry(title="A-first", date="2014-07-20", start_time="13:00", end_time="15:00"),
     ]))
-    day = events_for_day(records, date(2014, 7, 20))
+    (day,) = day_events_index(records, DateRange(date(2014, 7, 20), date(2014, 7, 20))).values()
     assert [e.title for e in day.events] == ["A-first", "Earlier", "Later"]
 
 
 def test_union_over_days_recovers_catalog(small_dataset_dir):
     records = parse_event_records((small_dataset_dir / "events.json").read_text())
     dates = {r.date for r in records}
-    recovered = []
-    for d in sorted(dates):
-        recovered.extend(events_for_day(records, d).events)
+    index = day_events_index(records, DateRange(min(dates), max(dates)))
+    recovered = [e for d in sorted(index) for e in index[d].events]
     assert Counter(recovered) == Counter(records)
-    assert len({d for d in dates}) <= len(records)
+    assert len(dates) <= len(records)
 
 
 def test_serialize_parse_round_trip(small_dataset_dir):
@@ -127,14 +117,6 @@ def test_day_events_index_is_dense():
     assert sorted(index) == [date(2014, 7, 19), date(2014, 7, 20), date(2014, 7, 21)]
     assert index[date(2014, 7, 20)].is_event_day
     assert not index[date(2014, 7, 19)].is_event_day
-
-
-def test_word_counts():
-    assert description_word_count(None) == 0
-    assert description_word_count("Walk the Moon") == 3
-    assert description_word_count(EXAMPLE_A_DESCRIPTION) == whitespace_word_count(
-        EXAMPLE_A_DESCRIPTION
-    )
 
 
 def test_formatted_event_validation():

@@ -1,9 +1,11 @@
 """Backends: digests, scripted mock, cache overlay, and the HTTP client
 against a local stub server."""
 
+import itertools
 import json
 import os
 import random
+import shutil
 import string
 import sys
 import threading
@@ -263,16 +265,8 @@ def test_two_threads_writing_one_entry_leave_one_whole_file(tmp_path):
 
 
 def test_each_shard_directory_is_created_once(tmp_path, monkeypatch):
-    made = []
-    makedirs = os.makedirs
-
-    def counting(path, *args, **kwargs):
-        made.append(str(path))
-        return makedirs(path, *args, **kwargs)
-
     store = tmp_path / "store"
     backend = CachingBackend(CountingBackend(), store)
-    monkeypatch.setattr(gateway.os, "makedirs", counting)
     requests = [_request(f"shard {i}") for i in range(400)]
 
     def work(k):  # eight threads on two cores, each on its own 50 requests
@@ -290,11 +284,42 @@ def test_each_shard_directory_is_created_once(tmp_path, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    for request in requests[:50]:
-        backend.complete(request)
     shards = {cache_key(r)[:2] for r in requests}
-    assert sorted(made) == sorted(str(store / "sha256" / s) for s in shards)
-    assert backend.misses == 400 and backend.hits == 50
+    assert {p.name for p in (store / "sha256").iterdir()} == shards
+
+    # New requests into the shards that now exist make no directory.
+    made = []
+    mkdir = os.mkdir
+
+    def counting(path, *args, **kwargs):
+        made.append(str(path))
+        return mkdir(path, *args, **kwargs)
+
+    fresh = [r for r in map(_request, (f"again {i}" for i in range(400)))
+             if cache_key(r)[:2] in shards]
+    monkeypatch.setattr(os, "mkdir", counting)
+    for request in fresh + requests[:50]:
+        backend.complete(request)
+    assert made == []
+    assert backend.misses == 400 + len(fresh) and backend.hits == 50
+    assert all(backend._path(cache_key(r)).is_file() for r in fresh)
+
+
+def test_entry_is_written_after_its_shard_directory_is_removed(tmp_path):
+    store = tmp_path / "store"
+    backend = CachingBackend(CountingBackend(), store)
+    by_shard = {}
+    for i in itertools.count():
+        request = _request(f"pair {i}")
+        first = by_shard.setdefault(cache_key(request)[:2], request)
+        if first is not request:
+            break
+    backend.complete(first)
+    shutil.rmtree(store / "sha256" / cache_key(first)[:2])
+    assert backend.complete(request).content == "cached reply"
+    assert backend._path(cache_key(request)).is_file()
+    assert CachingBackend(CountingBackend("other"), store).complete(request).content \
+        == "cached reply"
 
 
 def test_cache_transparency_cold_store(tmp_path):

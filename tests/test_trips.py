@@ -223,6 +223,20 @@ def test_aggregation_matches_brute_force_on_random_trips():
         assert 0 < total_out < len(trips)
 
 
+def test_tuples_count_the_same_in_batches_of_any_size(monkeypatch):
+    rng = random.Random(4321)
+    start = date(2014, 7, 1)
+    date_range = DateRange(start, start + timedelta(days=13))
+    trips = _random_trips(rng, 1000, start, 14)
+    whole = aggregate_daily_demand(trips, VENUE, date_range)
+    expected = brute_force_daily_counts(
+        trips, VENUE.center.lat, VENUE.center.lon, VENUE.radius_m, date_range.start, date_range.end
+    )
+    assert [[row.outflow, row.inflow] for row in whole] == list(expected.values())
+    monkeypatch.setattr("mpe.trips._ROW_BATCH", 7)  # 143 batches, the last one short
+    assert aggregate_daily_demand(iter(trips), VENUE, date_range) == whole
+
+
 def test_shrinking_radius_never_increases_counts():
     rng = random.Random(77)
     start = date(2014, 7, 1)
