@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import DayEvents
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, read_text
 from .prompts import AblationConfig, DemandFeatures, EventFeatures, HistoryWindow
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
@@ -355,46 +355,27 @@ def predict_gbdt(model: GbdtModel, x):
     return float(out[0]) if x.ndim == 1 else out
 
 
+_MODEL_KINDS = {"linear": LinearModel, "gbdt": GbdtModel}
+
+
 def save_model(model: LinearModel | GbdtModel, path) -> None:
-    """Persist a model as a self-describing JSON document."""
-    if isinstance(model, LinearModel):
-        doc = {
-            "format_version": 1,
-            "kind": "linear",
-            "ridge_lambda": model.ridge_lambda,
-            "intercept": model.intercept,
-            "weights": model.weights.tolist(),
-        }
-    else:
-        doc = {
-            "format_version": 1,
-            "kind": "gbdt",
-            "learning_rate": model.learning_rate,
-            "max_depth": model.max_depth,
-            "base_prediction": model.base_prediction,
-            "n_features": model.n_features,
-            "trees": list(model.trees),
-        }
-    atomic_write_text(path, json.dumps(doc, sort_keys=True))
+    """Persist a model as a self-describing JSON document: the format
+    version, the kind and the dataclass fields, an array as a list."""
+    kind = next(k for k, cls in _MODEL_KINDS.items() if isinstance(model, cls))
+    doc = {"format_version": 1, "kind": kind, **vars(model)}
+    atomic_write_text(path, json.dumps(doc, sort_keys=True, default=np.ndarray.tolist))
 
 
 def load_model(path) -> LinearModel | GbdtModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != 1:
-        raise ValueError(f"unsupported model format: {doc.get('format_version')!r}")
-    if doc["kind"] == "linear":
-        return LinearModel(
-            weights=np.asarray(doc["weights"], dtype=float),
-            intercept=doc["intercept"],
-            ridge_lambda=doc["ridge_lambda"],
-        )
-    if doc["kind"] == "gbdt":
-        return GbdtModel(
-            trees=tuple(doc["trees"]),
-            learning_rate=doc["learning_rate"],
-            max_depth=doc["max_depth"],
-            base_prediction=doc["base_prediction"],
-            n_features=doc["n_features"],
-        )
-    raise ValueError(f"unknown model kind: {doc['kind']!r}")
+    doc = json.loads(read_text(path))
+    version = doc.pop("format_version", None)
+    if version != 1:
+        raise ValueError(f"unsupported model format: {version!r}")
+    kind = doc.pop("kind")
+    if kind not in _MODEL_KINDS:
+        raise ValueError(f"unknown model kind: {kind!r}")
+    if kind == "linear":
+        doc["weights"] = np.asarray(doc["weights"], dtype=float)
+    else:
+        doc["trees"] = tuple(doc["trees"])
+    return _MODEL_KINDS[kind](**doc)

@@ -19,6 +19,7 @@ from .decomposition import BaselineConfig
 from .errors import ConfigError
 from .gateway import BackendConfig
 from .geo import GeoPoint
+from .ioutil import read_text
 from .prompts import DEFAULT_TEMPLATES, AblationConfig, PromptTemplates, load_templates
 from .trips import DateRange, VenueConfig
 
@@ -105,7 +106,7 @@ class PipelineConfig:
     def from_file(cls, path: Path | str) -> "PipelineConfig":
         path = Path(path)
         try:
-            doc = json.loads(path.read_text())
+            doc = json.loads(read_text(path))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(doc, base_dir=path.parent)

@@ -8,14 +8,13 @@ at the target day or anything after it.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Mapping, NamedTuple, Sequence
 
 from .events import DayEvents
-from .ioutil import write_csv
+from .ioutil import read_csv, write_csv
 from .trips import DailyDemand
 
 
@@ -156,13 +155,12 @@ def write_decomposition_csv(rows: Sequence[DemandDecomposition], path) -> None:
 
 def read_decomposition_csv(path) -> list[DemandDecomposition]:
     out = []
-    with open(path, newline="") as fh:
-        for r in csv.DictReader(fh):
-            day = date.fromisoformat(r["date"])
-            out.append(DemandDecomposition(
-                day,
-                DailyDemand(day, int(r["actual_out"]), int(r["actual_in"])),
-                Flows(float(r["baseline_out"]), float(r["baseline_in"])),
-                Flows(float(r["dev_out"]), float(r["dev_in"])),
-            ))
+    for r in read_csv(path):
+        day = date.fromisoformat(r["date"])
+        out.append(DemandDecomposition(
+            day,
+            DailyDemand(day, int(r["actual_out"]), int(r["actual_in"])),
+            Flows(float(r["baseline_out"]), float(r["baseline_in"])),
+            Flows(float(r["dev_out"]), float(r["dev_in"])),
+        ))
     return out

@@ -25,7 +25,7 @@ from .errors import (
     ProtocolError,
     TransportError,
 )
-from .ioutil import atomic_write_bytes
+from .ioutil import atomic_write_bytes, read_text
 
 ROLES = ("system", "user", "assistant")
 FINISH_REASONS = ("stop", "length", "error")
@@ -241,8 +241,7 @@ class ScriptedBackend(ChatBackend):
     @classmethod
     def from_file(cls, path) -> "ScriptedBackend":
         try:
-            with open(path) as fh:
-                doc = json.load(fh)
+            doc = json.loads(read_text(path))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load mock script {path}: {exc}") from exc
         if not isinstance(doc, dict) or not all(
@@ -325,9 +324,7 @@ class CachingBackend(ChatBackend):
     @staticmethod
     def _load(path: Path) -> ChatResponse | None:
         try:
-            with open(path) as fh:
-                doc = json.load(fh)
-            resp = doc["response"]
+            resp = json.loads(read_text(path))["response"]
             return ChatResponse(
                 content=resp["content"],
                 finish_reason=resp["finish_reason"],
@@ -335,10 +332,8 @@ class CachingBackend(ChatBackend):
                     resp["usage"]["prompt_tokens"], resp["usage"]["completion_tokens"]
                 ),
             )
-        except FileNotFoundError:
-            return None
         except (OSError, ValueError, KeyError, TypeError):
-            return None  # corrupted entry: treat as miss, refetch, overwrite
+            return None  # absent or corrupted: a miss, fetched and overwritten
 
     def _write(self, path: Path, request: ChatRequest, response: ChatResponse) -> None:
         doc = {

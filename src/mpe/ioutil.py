@@ -1,4 +1,6 @@
-"""The one writer of artifacts and cache entries: temp file, then rename."""
+"""The one place that reads and writes text: UTF-8 whatever the locale, CSV
+in csv.writer's default dialect both ways, and every artifact and cache
+entry written to a temp file, then renamed."""
 
 from __future__ import annotations
 
@@ -45,3 +47,15 @@ def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
     writer.writerow(header)
     writer.writerows(rows)
     atomic_write_text(path, buf.getvalue())
+
+
+def read_text(path) -> str:
+    """The file's text, decoded as UTF-8 whatever the locale."""
+    return Path(path).read_text(encoding="utf-8")
+
+
+def read_csv(path) -> list[dict[str, str]]:
+    """The rows of a UTF-8 CSV in csv.writer's default dialect, as dicts
+    keyed by its header row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))

@@ -13,7 +13,6 @@ prior outputs.
 from __future__ import annotations
 
 import concurrent.futures
-import csv
 import hashlib
 import json
 import os
@@ -67,7 +66,7 @@ from .gateway import (
     cache_key,
 )
 from .heuristic import HeuristicBackend
-from .ioutil import atomic_write_text, write_csv
+from .ioutil import atomic_write_text, read_csv, read_text, write_csv
 from .metrics import (
     AblationRow,
     EvalRecord,
@@ -232,7 +231,7 @@ def load_manifest(config: PipelineConfig) -> dict:
     recorded, and a stage entry that is not an object as absent. An entry's
     `"stat"` map, which manifests kept before the file table, is dropped."""
     try:
-        manifest = json.loads(_manifest_path(config).read_text())
+        manifest = json.loads(read_text(_manifest_path(config)))
     except (OSError, ValueError):
         manifest = None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
@@ -276,8 +275,8 @@ def _write_prediction_csv(rows: Iterable[tuple], model_name: str, path: Path) ->
 
 def _load_catalog(config: PipelineConfig) -> list[EventRecord]:
     try:
-        text = Path(config.event_source).read_text()
-    except OSError as exc:
+        text = read_text(config.event_source)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read event source {config.event_source}: {exc}") from exc
     return parse_event_records(text)
 
@@ -300,8 +299,7 @@ def _load_history(config: PipelineConfig) -> _History:
 
 
 def _formatted_lookup(config: PipelineConfig) -> dict[tuple[str, str | None], tuple[str, str]]:
-    path = artifact_path(config, "formatted_events")
-    doc = json.loads(path.read_text())
+    doc = json.loads(read_text(artifact_path(config, "formatted_events")))
     return {
         (entry["title"], entry["description"]): (entry["category"], entry["summary"])
         for entry in doc
@@ -494,7 +492,7 @@ def _stage_ingest(config: PipelineConfig, _backend) -> dict:
         with open(config.trip_source, "rb") as fh:
             trips = TripFile(fh, rejects)
             series = aggregate_daily_demand(trips, config.venue, config.full_range)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read trip source {config.trip_source}: {exc}") from exc
     write_daily_demand_csv(series, artifact_path(config, "daily_demand"))
     _write_jsonl(
@@ -696,12 +694,11 @@ def _classical_ablation(ablation: AblationConfig) -> AblationConfig:
 
 
 def _read_prediction_csv(path: Path) -> list[tuple[date, Flows]]:
-    with open(path, newline="") as fh:
-        return [
-            (date.fromisoformat(row["date"]),
-             Flows(float(row["pred_out"]), float(row["pred_in"])))
-            for row in csv.DictReader(fh)
-        ]
+    return [
+        (date.fromisoformat(row["date"]),
+         Flows(float(row["pred_out"]), float(row["pred_in"])))
+        for row in read_csv(path)
+    ]
 
 
 def _stage_evaluate(config: PipelineConfig, _backend) -> dict:
@@ -785,18 +782,18 @@ def _stage_report(config: PipelineConfig, _backend) -> dict:
         "Model performance (pooled pickups + dropoffs):",
     ]
     models = set()
-    with open(artifact_path(config, "report"), newline="") as fh:
-        for row in csv.DictReader(fh):
-            models.add(row["model"])
-            if row["segment"] not in ("all", "event", "non_event"):
-                continue
-            lines.append(
-                f"  {row['model']:<20} {row['ablation']:<16} {row['segment']:<10}"
-                f" n={row['n']:<5} rmse={row['rmse']:<11} mae={row['mae']:<11}"
-                f" mape={row['mape'] or 'n/a':<9} r2={row['r2'] or 'n/a'}"
-            )
-    with open(artifact_path(config, "predictions_detail")) as fh:
-        fallbacks = [json.loads(line)["fallback"] for line in fh]
+    for row in read_csv(artifact_path(config, "report")):
+        models.add(row["model"])
+        if row["segment"] not in ("all", "event", "non_event"):
+            continue
+        lines.append(
+            f"  {row['model']:<20} {row['ablation']:<16} {row['segment']:<10}"
+            f" n={row['n']:<5} rmse={row['rmse']:<11} mae={row['mae']:<11}"
+            f" mape={row['mape'] or 'n/a':<9} r2={row['r2'] or 'n/a'}"
+        )
+    # One document a line, split on "\n" alone: a reply may hold U+2028 or U+0085.
+    detail = read_text(artifact_path(config, "predictions_detail")).split("\n")
+    fallbacks = [json.loads(line)["fallback"] for line in detail if line]
     rate = sum(fallbacks) / len(fallbacks) if fallbacks else 0.0
     lines += [
         "",
@@ -815,17 +812,16 @@ def _stage_report(config: PipelineConfig, _backend) -> dict:
     ablation_path = artifact_path(config, "ablation_report")
     if ablation_path.exists():
         lines += ["", "Ablation grid (event-day rows):"]
-        with open(ablation_path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                if row["segment"] == "all" and row["n"] == "":
-                    lines.append(
-                        f"  {row['model']:<10} {row['ablation']:<18} not applicable"
-                    )
-                elif row["segment"] == "event":
-                    lines.append(
-                        f"  {row['model']:<10} {row['ablation']:<18}"
-                        f" rmse={row['rmse']:<11} mae={row['mae']:<11} mape={row['mape']}"
-                    )
+        for row in read_csv(ablation_path):
+            if row["segment"] == "all" and row["n"] == "":
+                lines.append(
+                    f"  {row['model']:<10} {row['ablation']:<18} not applicable"
+                )
+            elif row["segment"] == "event":
+                lines.append(
+                    f"  {row['model']:<10} {row['ablation']:<18}"
+                    f" rmse={row['rmse']:<11} mae={row['mae']:<11} mape={row['mape']}"
+                )
     atomic_write_text(artifact_path(config, "summary"), "\n".join(lines) + "\n")
     return {"lines": len(lines)}
 

@@ -23,8 +23,10 @@ from pathlib import Path
 from typing import Sequence
 
 from .decomposition import DemandDecomposition, Flows
+from .errors import ConfigError
 from .events import EventRecord, FormattedEvent
 from .gateway import ChatMessage, ChatRequest
+from .ioutil import read_text
 
 DEFAULT_MODEL = "gpt-4"
 DEFAULT_DESCRIPTION_WORD_CAP = 500
@@ -158,13 +160,17 @@ DEFAULT_TEMPLATES = PromptTemplates()
 
 
 def load_templates(directory: Path | str) -> PromptTemplates:
-    """Read template overrides from <dir>/event_format.txt, prediction.txt."""
+    """Read template overrides from <dir>/event_format.txt, prediction.txt;
+    one that cannot be read as UTF-8 text is a ConfigError."""
     directory = Path(directory)
     kwargs = {}
     for name in ("event_format", "prediction"):
         path = directory / f"{name}.txt"
         if path.exists():
-            kwargs[name] = path.read_text()
+            try:
+                kwargs[name] = read_text(path)
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"cannot read template {path}: {exc}") from exc
     return PromptTemplates(**kwargs)
 
 

@@ -18,8 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import encode
 from .events import EventRecord, serialize_event_records
 from .geo import GeoPoint
+from .ioutil import read_csv
 from .trips import DateRange, VenueConfig
 
 SYNTH_VENUE = VenueConfig(
@@ -191,7 +193,7 @@ def write_trips_csv(dataset: SyntheticDataset, path, seed: int = 913) -> None:
     reject without affecting counts."""
     rng = np.random.default_rng(seed)
     center = dataset.venue.center
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([
             "pickup_datetime", "dropoff_datetime",
@@ -244,7 +246,7 @@ def write_trips_csv(dataset: SyntheticDataset, path, seed: int = 913) -> None:
 
 
 def write_truth_csv(dataset: SyntheticDataset, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "outflow", "inflow", "base_out", "base_in", "categories"])
         for day in dataset.truth:
@@ -255,18 +257,17 @@ def write_truth_csv(dataset: SyntheticDataset, path) -> None:
 
 
 def read_truth_csv(path) -> list[TruthDay]:
-    rows = []
-    with open(path, newline="") as fh:
-        for r in csv.DictReader(fh):
-            rows.append(TruthDay(
-                date=date.fromisoformat(r["date"]),
-                outflow=int(r["outflow"]),
-                inflow=int(r["inflow"]),
-                base_out=int(r["base_out"]),
-                base_in=int(r["base_in"]),
-                categories=tuple(c for c in r["categories"].split("|") if c),
-            ))
-    return rows
+    return [
+        TruthDay(
+            date=date.fromisoformat(r["date"]),
+            outflow=int(r["outflow"]),
+            inflow=int(r["inflow"]),
+            base_out=int(r["base_out"]),
+            base_in=int(r["base_in"]),
+            categories=tuple(c for c in r["categories"].split("|") if c),
+        )
+        for r in read_csv(path)
+    ]
 
 
 def generate_files(
@@ -286,16 +287,10 @@ def generate_files(
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = build_dataset(date_range, seed=seed)
     write_trips_csv(dataset, out_dir / "trips.csv", seed=seed + 1)
-    (out_dir / "events.json").write_text(serialize_event_records(dataset.events))
+    (out_dir / "events.json").write_text(serialize_event_records(dataset.events), encoding="utf-8")
     write_truth_csv(dataset, out_dir / "truth.csv")
     config = {
-        "venue": {
-            "name": dataset.venue.name,
-            "lat": dataset.venue.center.lat,
-            "lon": dataset.venue.center.lon,
-            "radius_m": dataset.venue.radius_m,
-            "timezone": dataset.venue.timezone,
-        },
+        "venue": encode(dataset.venue),
         "trip_source": "trips.csv",
         "event_source": "events.json",
         "train_range": [date_range.start.isoformat(), train_end.isoformat()],
@@ -309,7 +304,7 @@ def generate_files(
         "backend": {"kind": "heuristic"},
         "ablation": "c_t_h_prime/r_i",
     }
-    with open(out_dir / "config.json", "w") as fh:
+    with open(out_dir / "config.json", "w", encoding="utf-8") as fh:
         json.dump(config, fh, indent=2, sort_keys=True)
     resolved = dict(config)
     base = out_dir.resolve()

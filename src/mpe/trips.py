@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import locale
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
@@ -22,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SchemaError
 from .geo import GeoPoint, bounding_box, haversine_deg_m, haversine_deg_m_array
-from .ioutil import write_csv
+from .ioutil import read_csv, write_csv
 
 REQUIRED_COLUMNS = (
     "pickup_datetime",
@@ -329,22 +328,21 @@ class TripFile:
 
     Canonical rows are checked, parsed and counted as numpy arrays; every
     other row goes through iter_trip_rows in file order with its row number.
-    `rejects` and `valid` end as iter_trip_rows over the file in text mode
-    leaves them: its rejects, and the number of rows it yields.
+    `rejects` and `valid` end as iter_trip_rows over the file read as UTF-8
+    text leaves them: its rejects, and the number of rows it yields.
     """
 
     def __init__(self, fh: BinaryIO, rejects: list[RejectionNote]):
         self.fh = fh
         self.rejects = rejects
         self.valid = 0
-        self._encoding = locale.getpreferredencoding(False)  # text-mode open's
 
     def count_into(self, counts: _DayCounts) -> None:
         head = self.fh.readline()
         line = head.removesuffix(b"\n").removesuffix(b"\r")
         if b'"' in line or b"\r" in line:
             return self._read_rest(counts, 0, 0)
-        self._header = head.decode(self._encoding)
+        self._header = head.decode("utf-8")
         header = next(csv.reader([self._header]), None) if head else None
         self._columns = _column_indexes(header)
         self._commas = len(header) - 1
@@ -364,7 +362,7 @@ class TripFile:
         """Read the file from byte `pos` on as csv.reader reads it, numbering
         its rows from `row` + 1."""
         self.fh.seek(pos)
-        text = io.TextIOWrapper(self.fh, encoding=self._encoding, newline="")
+        text = io.TextIOWrapper(self.fh, encoding="utf-8", newline="")
         try:
             source = itertools.chain([self._header], text) if pos else text
             rows = iter_trip_rows(source, self.rejects, itertools.count(row + 1))
@@ -417,7 +415,7 @@ class TripFile:
 
         slow = np.flatnonzero(nonempty & ~counted)
         if len(slow):
-            text = [str(block[starts[j]:ends[j] + 1], self._encoding) for j in slow.tolist()]
+            text = [str(block[starts[j]:ends[j] + 1], "utf-8") for j in slow.tolist()]
             rows = iter_trip_rows([self._header, *text], self.rejects, numbers[slow].tolist())
             self.valid += counts.add_rows(rows)
         return int(numbers[-1])
@@ -513,12 +511,10 @@ def write_daily_demand_csv(series: Sequence[DailyDemand], path) -> None:
 
 
 def read_daily_demand_csv(path) -> list[DailyDemand]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [
-            DailyDemand(date.fromisoformat(r["date"]), int(r["outflow"]), int(r["inflow"]))
-            for r in reader
-        ]
+    return [
+        DailyDemand(date.fromisoformat(r["date"]), int(r["outflow"]), int(r["inflow"]))
+        for r in read_csv(path)
+    ]
 
 
 def demand_index(series: Sequence[DailyDemand]) -> Mapping[date, DailyDemand]:

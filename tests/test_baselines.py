@@ -419,6 +419,31 @@ def test_model_persistence_round_trip(tmp_path):
         assert predict_linear(loaded_linear, row) == predict_linear(linear, row)
 
 
+@pytest.mark.parametrize("kind", ["linear", "gbdt"])
+def test_reloaded_model_saves_the_same_bytes(tmp_path, kind):
+    X, y = _nonlinear_fixture(n=60)
+    if kind == "linear":
+        model = fit_linear(X, y, ridge_lambda=0.5)
+    else:
+        model = fit_gbdt(X, y, GbdtParams(n_trees=5, max_depth=2, min_leaf=2))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(model, first)
+    save_model(load_model(first), second)
+    assert second.read_bytes() == first.read_bytes()
+    doc = json.loads(first.read_bytes())
+    assert (doc["format_version"], doc["kind"]) == (1, kind)
+
+
+def test_load_model_rejects_unknown_version_or_kind(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"format_version": 2, "kind": "linear"}))
+    with pytest.raises(ValueError, match="unsupported model format: 2"):
+        load_model(path)
+    path.write_text(json.dumps({"format_version": 1, "kind": "forest"}))
+    with pytest.raises(ValueError, match="unknown model kind: 'forest'"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_gbdt_rejects_non_finite_features(bad):
     X = [[0.0], [1.0], [bad], [3.0]]

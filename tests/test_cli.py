@@ -106,6 +106,42 @@ def test_fallback_budget_exits_5(cli_dataset, tmp_path, capsys):
     assert "fallback rate" in capsys.readouterr().err
 
 
+def _config_with_sources(cli_dataset, tmp_path, **sources) -> str:
+    """A copy of the dataset's config that reads `sources` in its place."""
+    config_doc = json.loads((cli_dataset / "config.json").read_text())
+    config_doc["trip_source"] = str(cli_dataset / "trips.csv")
+    config_doc["event_source"] = str(cli_dataset / "events.json")
+    config_doc.update({key: str(path) for key, path in sources.items()})
+    config_doc["output_dir"] = str(tmp_path / "o")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_doc))
+    return str(config_path)
+
+
+def test_event_source_that_is_not_utf8_exits_2(cli_dataset, tmp_path, capsys):
+    events = tmp_path / "events.json"
+    events.write_bytes(
+        b'[{"title": "Caf\xe9 Night", "description": null, "date": "2021-05-03",'
+        b' "start_time": "19:00", "end_time": "22:00"}]'
+    )
+    config_path = _config_with_sources(cli_dataset, tmp_path, event_source=events)
+    assert main(["ingest", "--config", config_path]) == 0
+    capsys.readouterr()
+    assert main(["decompose", "--config", config_path]) == 2
+    assert "error: cannot read event source" in capsys.readouterr().err
+
+
+def test_trip_source_that_is_not_utf8_exits_2(cli_dataset, tmp_path, capsys):
+    trips = tmp_path / "trips.csv"
+    trips.write_bytes(
+        (cli_dataset / "trips.csv").read_bytes()
+        + b"2021-05-03 10:00:00,2021-05-03 10:20:00,-73.95,40.70,-73.95,40.70,Caf\xe9\r\n"
+    )
+    config_path = _config_with_sources(cli_dataset, tmp_path, trip_source=trips)
+    assert main(["ingest", "--config", config_path]) == 2
+    assert "error: cannot read trip source" in capsys.readouterr().err
+
+
 def test_bad_ablation_name_exits_2(cli_dataset, capsys):
     code = main([
         "ingest", "--config", str(cli_dataset / "config.json"), "--ablation", "zz",

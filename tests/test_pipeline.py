@@ -720,6 +720,27 @@ def test_summary_keeps_its_bytes_without_the_manifest(small_config, tmp_path):
     assert artifact_path(config, "summary").read_bytes() == summary
 
 
+def test_summary_counts_fallbacks_of_replies_with_unicode_line_breaks(small_config, tmp_path):
+    """predictions.jsonl keeps U+2028 and U+0085 raw in a reply; they end no
+    line of it, so the report reads one document a day."""
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({
+        "Format the following public event record.": "[Category] Live Event [Summary] A show.",
+        "Next day: 2021-07-01": "[pickup] 300 [dropoff] 200 [reasoning] steady\u2028and\x85calm.",
+        "Next day: 2021-07-02": "no tags\u2028at\x85all",
+        "Next day: 2021-07-03": "[pickup] 310 [dropoff] 210 [reasoning] \u2028\x85",
+    }))
+    config = _fresh(
+        small_config, tmp_path, backend_kind="mock", mock_script=script, fallback_budget=1.0,
+        test_range=DateRange(date(2021, 7, 1), date(2021, 7, 3)),
+    )
+    run_pipeline(config)
+    detail = artifact_path(config, "predictions_detail").read_bytes()
+    assert "\u2028".encode() in detail and "\x85".encode() in detail
+    summary = artifact_path(config, "summary").read_text(encoding="utf-8")
+    assert "Prediction fallback rate: 0.3333 (1 of 3 days)\n" in summary
+
+
 def test_summary_counts_mape_terms_skipped_on_zero_demand_days(small_config, tmp_path):
     empty_days = ("2021-07-04", "2021-07-10")  # no trip starts or ends on these test days
     trips = tmp_path / "trips.csv"

@@ -7,6 +7,7 @@ from datetime import date, time, timedelta
 import pytest
 
 from mpe.decomposition import Flows, decompose
+from mpe.errors import ConfigError
 from mpe.events import EventRecord, FormattedEvent
 from mpe.prompts import (
     AblationConfig,
@@ -262,6 +263,12 @@ def test_long_description_truncated_in_prompt():
     assert TRUNCATION_MARKER in content
     assert "word1100" not in content
     assert "word499" in content
+
+
+def test_template_that_is_not_utf8_is_a_config_error(tmp_path):
+    (tmp_path / "prediction.txt").write_bytes("Café {history}".encode("latin-1"))
+    with pytest.raises(ConfigError, match="cannot read template"):
+        load_templates(tmp_path)
 
 
 def test_template_overrides(tmp_path):

@@ -385,9 +385,9 @@ def test_declared_python_floor_reads_basic_format_timestamps():
     basic format (20140725T190500) only from Python 3.11 on; under 3.10 the
     same CSV gives other rejects and other counts."""
     root = Path(__file__).resolve().parent.parent
-    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     assert project["requires-python"] == ">=3.11"
-    assert "Python ≥ 3.11." in (root / "README.md").read_text()
+    assert "Python ≥ 3.11." in (root / "README.md").read_text(encoding="utf-8")
     rejects = []
     row = "20140725T190500,2014-07-25T19:30,-73.975,40.683,-73.990,40.750\n"
     rows = list(iter_trip_rows(io.StringIO(HEADER + row), rejects))
