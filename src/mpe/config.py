@@ -66,6 +66,15 @@ class PipelineConfig:
             raise ConfigError("concurrency must be >= 1")
         if not (0.0 <= self.fallback_budget <= 1.0):
             raise ConfigError("fallback_budget must be in [0, 1]")
+        if not (0.0 <= self.temperature <= 2.0):
+            raise ConfigError("temperature must be in [0, 2]")
+        if self.max_tokens is not None and self.max_tokens < 1:
+            raise ConfigError("max_tokens must be >= 1")
+        for name in ("time_bins", "text_dim", "max_description_words"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if not (0.0 <= self.linear_ridge_lambda < float("inf")):
+            raise ConfigError("linear_ridge_lambda must be finite and >= 0")
 
     @property
     def full_range(self) -> DateRange:

@@ -61,6 +61,7 @@ from .gateway import (
     ChatBackend,
     ChatMessage,
     ChatRequest,
+    ChatResponse,
     HttpBackend,
     ScriptedBackend,
     cache_key,
@@ -345,9 +346,33 @@ def _day_contexts(
     return contexts
 
 
-def _with_reminder(request: ChatRequest, reminder: str) -> ChatRequest:
-    """The re-prompt after a malformed reply: the request plus a format reminder."""
-    return replace(request, messages=request.messages + (ChatMessage("user", reminder),))
+class _Reply(NamedTuple):
+    value: object | None  # the parsed reply; None when both replies were malformed
+    response: ChatResponse  # the last response
+    digest: str  # the last request's cache key
+    failures: tuple[tuple[str, MalformedReplyError], ...]  # (digest, error) per malformed reply
+
+
+def _ask(
+    backend: ChatBackend, request: ChatRequest, reminder: str, parse: Callable[[str], object]
+) -> _Reply:
+    """Ask, and re-ask once with a format reminder when the reply does not parse."""
+    failures = []
+    reprompt = replace(request, messages=request.messages + (ChatMessage("user", reminder),))
+    for attempt in (request, reprompt):
+        digest = cache_key(attempt)
+        response = backend.complete(attempt)
+        try:
+            return _Reply(parse(response.content), response, digest, tuple(failures))
+        except MalformedReplyError as exc:
+            failures.append((digest, exc))
+    return _Reply(None, response, digest, tuple(failures))
+
+
+def _map(config: PipelineConfig, fn: Callable, items: Iterable) -> list:
+    """`fn` over `items` on `concurrency` threads; results and first failure in item order."""
+    with concurrent.futures.ThreadPoolExecutor(max_workers=config.concurrency) as pool:
+        return list(pool.map(fn, items))
 
 
 class DayPrediction(NamedTuple):
@@ -355,59 +380,6 @@ class DayPrediction(NamedTuple):
     fallback: bool
     failures: tuple[str, ...]
     request_digest: str
-
-
-def _predict_day(
-    window: HistoryWindow,
-    lines: Sequence[str],
-    target: DayContext,
-    history: _History,
-    config: PipelineConfig,
-    backend: ChatBackend,
-    ablation: AblationConfig,
-    templates: PromptTemplates,
-) -> DayPrediction:
-    """Prompt for `target` from its window and the window's rendered lines,
-    and parse the reply; a malformed reply triggers one re-prompt with a
-    format reminder, then a fallback to the rounded baseline."""
-    day = target.date
-    if day in history.decompositions:
-        baseline = history.decompositions[day].baseline
-    else:
-        baseline = weekday_baseline(history.demand, history.calendar, day, config.baseline)
-
-    request = build_prediction_prompt(
-        window,
-        target,
-        baseline,
-        ablation,
-        model=config.model,
-        templates=templates,
-        description_word_cap=config.max_description_words,
-        temperature=config.temperature,
-        history_lines=lines,
-    )
-    if config.max_tokens is not None:
-        request = replace(request, max_tokens=config.max_tokens)
-
-    failures: list[str] = []
-    for attempt in (request, _with_reminder(request, PREDICTION_REMINDER)):
-        digest = cache_key(attempt)
-        response = backend.complete(attempt)
-        try:
-            result = parse_prediction(response.content, day)
-            return DayPrediction(result, False, tuple(failures), digest)
-        except MalformedReplyError as exc:
-            failures.append(failure_record(day, digest, exc.raw, str(exc)))
-
-    fallback = PredictionResult(
-        date=day,
-        pickup=max(0, round_half_up(baseline.outflow)),
-        dropoff=max(0, round_half_up(baseline.inflow)),
-        reasoning="fallback: baseline",
-        raw_response=response.content,
-    )
-    return DayPrediction(fallback, True, tuple(failures), digest)
 
 
 def _run_predictions(
@@ -433,16 +405,40 @@ def _run_predictions(
     lines = [render_history_line(c, ablation, config.max_description_words) for c in contexts]
     target_events = [c.events for c in contexts[n:]] + [events_of(targets.end)]
 
-    def run(i: int) -> DayPrediction:
-        return _predict_day(
+    def predict_day(i: int) -> DayPrediction:
+        day = targets.start + timedelta(days=i)
+        if day in history.decompositions:
+            baseline = history.decompositions[day].baseline
+        else:
+            baseline = weekday_baseline(history.demand, history.calendar, day, config.baseline)
+        request = build_prediction_prompt(
             HistoryWindow(tuple(contexts[i:i + n])),
-            lines[i:i + n],
-            DayContext(targets.start + timedelta(days=i), target_events[i]),
-            history, config, backend, ablation, templates,
+            DayContext(day, target_events[i]),
+            baseline,
+            ablation,
+            model=config.model,
+            templates=templates,
+            description_word_cap=config.max_description_words,
+            temperature=config.temperature,
+            history_lines=lines[i:i + n],
         )
+        if config.max_tokens is not None:
+            request = replace(request, max_tokens=config.max_tokens)
+        reply = _ask(backend, request, PREDICTION_REMINDER,
+                     lambda text: parse_prediction(text, day))
+        failures = tuple(failure_record(day, d, exc.raw, str(exc)) for d, exc in reply.failures)
+        if reply.value is not None:
+            return DayPrediction(reply.value, False, failures, reply.digest)
+        fallback = PredictionResult(
+            date=day,
+            pickup=max(0, round_half_up(baseline.outflow)),
+            dropoff=max(0, round_half_up(baseline.inflow)),
+            reasoning="fallback: baseline",
+            raw_response=reply.response.content,
+        )
+        return DayPrediction(fallback, True, failures, reply.digest)
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-        return list(pool.map(run, range(targets.n_days)))
+    return _map(config, predict_day, range(targets.n_days))
 
 
 def predict_next_day(
@@ -468,11 +464,8 @@ def predict_next_day(
                 f"insufficient history: need {config.history_days} days before {target}"
             )
     calendar = day_events_index(catalog, DateRange(min(demand), target))
-    decompositions = {}
-    for offset in range(config.history_days, 0, -1):
-        day = target - timedelta(days=offset)
-        baseline = weekday_baseline(demand, calendar, day, config.baseline)
-        decompositions[day] = decompose(demand[day], baseline)
+    days = (target - timedelta(days=offset) for offset in range(config.history_days, 0, -1))
+    decompositions = {d.date: d for d in _decompose_days(config, demand, calendar, days)}
     history = _History(demand, calendar, decompositions)
     (prediction,) = _run_predictions(
         config, backend, config.ablation, history, formatted, config.templates(),
@@ -508,10 +501,8 @@ def _stage_format_events(config: PipelineConfig, backend: ChatBackend) -> dict:
     for record in catalog:
         unique.setdefault((record.title, record.description), record)
     templates = config.templates()
-    entries = []
-    before = _backend_call_count(backend)
-    for key in sorted(unique, key=lambda k: (k[0], k[1] or "")):
-        record = unique[key]
+
+    def format_event(record: EventRecord) -> dict:
         request = build_event_format_prompt(
             record,
             model=config.model,
@@ -519,42 +510,45 @@ def _stage_format_events(config: PipelineConfig, backend: ChatBackend) -> dict:
             description_word_cap=config.max_description_words,
             temperature=config.temperature,
         )
-        for attempt in (request, _with_reminder(request, EVENT_REMINDER)):
-            response = backend.complete(attempt)
-            try:
-                formatted = parse_formatted_event(response.content, record)
-                break
-            except MalformedReplyError as exc:
-                error = exc
-        else:
+        reply = _ask(backend, request, EVENT_REMINDER,
+                     lambda text: parse_formatted_event(text, record))
+        if reply.value is None:
+            error = reply.failures[-1][1]
             raise StageError(f"could not format event {record.title!r}: {error}") from error
-        entries.append({
+        return {
             "title": record.title,
             "description": record.description,
-            "category": formatted.category,
-            "summary": formatted.summary,
-        })
+            "category": reply.value.category,
+            "summary": reply.value.summary,
+        }
+
+    records = [unique[k] for k in sorted(unique, key=lambda k: (k[0], k[1] or ""))]
+    entries = _map(config, format_event, records)
     atomic_write_text(
         artifact_path(config, "formatted_events"),
         json.dumps(entries, indent=2, sort_keys=True, ensure_ascii=False),
     )
-    stats = {"events": len(catalog), "unique": len(unique)}
-    if before is not None:
-        stats["backend_calls"] = _backend_call_count(backend) - before
-    return stats
+    return {"events": len(catalog), "unique": len(unique)}
 
 
 def _stage_decompose(config: PipelineConfig, _backend) -> dict:
     demand = demand_index(read_daily_demand_csv(artifact_path(config, "daily_demand")))
     calendar = day_events_index(_load_catalog(config), config.full_range)
-    rows = []
-    for day in config.full_range.days():
-        if day == config.full_range.start:
-            continue  # no prior history exists for the very first day
-        baseline = weekday_baseline(demand, calendar, day, config.baseline)
-        rows.append(decompose(demand[day], baseline))
+    days = list(config.full_range.days())[1:]  # no prior history exists for the very first day
+    rows = _decompose_days(config, demand, calendar, days)
     write_decomposition_csv(rows, artifact_path(config, "decomposition"))
     return {"days": len(rows)}
+
+
+def _decompose_days(
+    config: PipelineConfig,
+    demand: Mapping[date, DailyDemand],
+    calendar: Mapping[date, DayEvents],
+    days: Iterable[date],
+) -> list[DemandDecomposition]:
+    """Each day's demand split against its weekday baseline from prior days."""
+    baseline = config.baseline
+    return [decompose(demand[d], weekday_baseline(demand, calendar, d, baseline)) for d in days]
 
 
 def _backend_call_count(backend: ChatBackend) -> int | None:
@@ -567,7 +561,6 @@ def _backend_call_count(backend: ChatBackend) -> int | None:
 def _stage_predict(config: PipelineConfig, backend: ChatBackend) -> dict:
     history = _load_history(config)
     formatted = _formatted_lookup(config) if _h_prime(config) else None
-    before = _backend_call_count(backend)
     predictions = _run_predictions(
         config, backend, config.ablation, history, formatted, config.templates(),
         config.test_range,
@@ -595,19 +588,16 @@ def _stage_predict(config: PipelineConfig, backend: ChatBackend) -> dict:
 
     fallbacks = sum(1 for p in predictions if p.fallback)
     rate = fallbacks / len(predictions) if predictions else 0.0
-    stats = {
+    if rate > config.fallback_budget:
+        raise FallbackBudgetError(
+            f"fallback rate {rate:.3f} exceeds budget {config.fallback_budget:.3f}"
+        )
+    return {
         "days": len(predictions),
         "fallbacks": fallbacks,
         "fallback_rate": rate,
         "parse_failures": len(failure_lines),
     }
-    if before is not None:
-        stats["backend_calls"] = _backend_call_count(backend) - before
-    if rate > config.fallback_budget:
-        raise FallbackBudgetError(
-            f"fallback rate {rate:.3f} exceeds budget {config.fallback_budget:.3f}"
-        )
-    return stats
 
 
 class _ClassicalFit(NamedTuple):
@@ -661,14 +651,10 @@ def _fit_classical(
     y_in = np.array([float(f.inflow) for f in y])
 
     fits = {}
+    params = {"linear": config.linear_ridge_lambda, "gbdt": config.gbdt}
     for kind in kinds:
-        if kind == "linear":
-            fit, params = fit_linear, config.linear_ridge_lambda
-        elif kind == "gbdt":
-            fit, params = fit_gbdt, config.gbdt
-        else:
-            raise StageError(f"unknown classical model: {kind}")
-        models = (fit(X_train, y_out, params), fit(X_train, y_in, params))
+        fit = fit_linear if kind == "linear" else fit_gbdt
+        models = (fit(X_train, y_out, params[kind]), fit(X_train, y_in, params[kind]))
         if kind == "gbdt":  # one call scores every test row
             outs, ins = (predict_gbdt(m, X_test).tolist() for m in models)
         else:
@@ -713,16 +699,14 @@ def _stage_evaluate(config: PipelineConfig, _backend) -> dict:
 
     classical_ablation = _classical_ablation(config.ablation)
     fits = _fit_classical(config, classical_ablation, history, ("linear", "gbdt"))
-    for model_kind, fit in fits.items():
-        for flow, model in zip(("out", "in"), fit.models):
-            save_model(model, artifact_path(config, f"model_{model_kind}_{flow}"))
-    by_model = {kind: fit.records for kind, fit in fits.items()}
-    by_model["historical_average"] = [
+    fits["historical_average"] = _ClassicalFit([  # no model to save
         EvalRecord(d, demand[d], history.decompositions[d].baseline)
         for d in config.test_range.days()
-    ]
+    ], ())
     for model_kind in CLASSICAL_MODELS:
-        records = by_model[model_kind]
+        records, models = fits[model_kind]
+        for flow, model in zip(("out", "in"), models):
+            save_model(model, artifact_path(config, f"model_{model_kind}_{flow}"))
         reports.append(segment_report(records, calendar, model_kind, classical_ablation))
         _write_prediction_csv(
             ((r.date, f"{r.pred.outflow:.6f}", f"{r.pred.inflow:.6f}") for r in records),
@@ -1035,7 +1019,10 @@ def run_stage(
 
     if stage_def.needs_backend and backend is None:
         backend = build_backend(config)
+    before = _backend_call_count(backend) if stage_def.needs_backend else None
     stats = stage_def.run(config, backend)
+    if before is not None:
+        stats["backend_calls"] = _backend_call_count(backend) - before
     manifest["stages"][stage] = {
         **state,
         "outputs": _output_digests(stage, config, digest),

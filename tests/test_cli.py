@@ -2,6 +2,7 @@
 
 import json
 from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +141,20 @@ def test_trip_source_that_is_not_utf8_exits_2(cli_dataset, tmp_path, capsys):
     config_path = _config_with_sources(cli_dataset, tmp_path, trip_source=trips)
     assert main(["ingest", "--config", config_path]) == 2
     assert "error: cannot read trip source" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("temperature", 3), ("max_tokens", 0), ("time_bins", 0), ("text_dim", 0),
+    ("linear_ridge_lambda", -1), ("max_description_words", -5),
+])
+def test_out_of_range_config_value_exits_2_before_any_stage(
+    cli_dataset, tmp_path, capsys, field, value
+):
+    config_path = Path(_config_with_sources(cli_dataset, tmp_path))
+    config_path.write_text(json.dumps({**json.loads(config_path.read_text()), field: value}))
+    assert main(["run", "--config", str(config_path), "--with-ablate"]) == 2
+    assert f"error: {field} must be" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_ablation_name_exits_2(cli_dataset, capsys):

@@ -8,7 +8,7 @@ import re
 import shutil
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import date, time, timedelta
 from pathlib import Path
 from time import sleep, time_ns
@@ -24,6 +24,7 @@ from mpe.errors import (
     FallbackBudgetError,
     MissingScriptError,
     PreconditionError,
+    StageError,
 )
 from mpe.events import EventRecord, parse_event_records
 from mpe.gateway import BackendConfig, CachingBackend, ScriptedBackend
@@ -448,6 +449,37 @@ def test_unregistered_mock_prompt_is_backend_error(small_config, tmp_path):
         run_stage("predict", config)
 
 
+class _SlowOnBackend(ScriptedBackend):
+    """Holds back the replies to prompts that contain `slow`."""
+
+    def __init__(self, script, slow: str):
+        super().__init__(script)
+        self.slow = slow
+
+    def complete(self, request):
+        if self.slow in request.text():
+            sleep(0.2)
+        return super().complete(request)
+
+
+def test_first_malformed_event_in_sorted_order_names_the_format_error(small_config, tmp_path):
+    events = tmp_path / "events.json"
+    events.write_text(json.dumps([
+        {"title": title, "description": None, "date": "2021-07-02",
+         "start_time": "19:00", "end_time": "22:00"}
+        for title in ("Beta Night", "Gamma Night", "Alpha Night")
+    ]))
+    config = _fresh(small_config, tmp_path, event_source=events, concurrency=3)
+    backend = _SlowOnBackend({
+        "Alpha Night": "no tags",
+        "Beta Night": "no tags either",
+        "Gamma Night": "[Category] Live Event [Summary] A show.",
+    }, slow="Alpha Night")  # so that Beta's second malformed reply comes first
+    with pytest.raises(StageError, match="could not format event 'Alpha Night'"):
+        run_stage("format_events", config, backend)
+    assert not artifact_path(config, "formatted_events").exists()
+
+
 def test_ablate_stage_is_deterministic_across_runs(pipeline_run, tmp_path):
     config, _ = pipeline_run
     first = replace(config, output_dir=tmp_path / "a")
@@ -518,12 +550,19 @@ class _SleepingBackend(HeuristicBackend):
                 self.in_flight -= 1
 
 
-def test_predict_keeps_concurrency_requests_in_flight(small_config, tmp_path):
+@pytest.mark.parametrize("stage, count", [
+    pytest.param(
+        "format_events", lambda result, config: result.stats["unique"], id="format_events"
+    ),
+    pytest.param("predict", lambda result, config: config.test_range.n_days, id="predict"),
+])
+def test_predict_keeps_concurrency_requests_in_flight(small_config, tmp_path, stage, count):
     config = _fresh(small_config, tmp_path, concurrency=3)
     run_pipeline(config, PRE_PREDICT)
+    artifact_path(config, _STAGE_DEFS[stage].writes[0]).unlink(missing_ok=True)
     backend = _SleepingBackend()
-    run_stage("predict", config, backend)
-    assert backend.call_count == config.test_range.n_days
+    result = run_stage(stage, config, backend)
+    assert backend.call_count == result.stats["backend_calls"] == count(result, config)
     assert backend.peak == len(backend.threads) == 3
 
 
@@ -651,6 +690,77 @@ def test_cache_dir_and_concurrency_changes_skip_every_stage(small_config, tmp_pa
         assert _ran(run_pipeline(changed)) == set()
 
 
+@pytest.fixture(scope="module")
+def seven_stage_run(small_config, tmp_path_factory):
+    """All seven stages of a short, cache-free run."""
+    config = _fresh(small_config, tmp_path_factory.mktemp("seven_stages"))
+    run_pipeline(config, STAGES)
+    return config
+
+
+def _other_values(config: PipelineConfig, root: Path) -> dict:
+    """Another valid value for every config field but `output_dir`; a path
+    field names a byte-identical copy of what it named."""
+    trips, events, script = root / "trips.csv", root / "events.json", root / "script.json"
+    shutil.copyfile(config.trip_source, trips)
+    shutil.copyfile(config.event_source, events)
+    script.write_text("{}")
+    templates = root / "templates"
+    templates.mkdir()
+    for name in ("event_format", "prediction"):
+        (templates / f"{name}.txt").write_text(getattr(DEFAULT_TEMPLATES, name), encoding="utf-8")
+    return {
+        "venue": replace(config.venue, name="Other Arena", radius_m=400.0),
+        "trip_source": trips,
+        "event_source": events,
+        "train_range": DateRange(config.train_range.start + timedelta(days=7),
+                                 config.train_range.end),
+        "test_range": DateRange(config.test_range.start,
+                                config.test_range.end - timedelta(days=3)),
+        "history_days": 21,
+        "baseline": BaselineConfig(lookback_weeks=6),
+        "model": "another-model",
+        "temperature": 0.7,
+        "max_tokens": 64,
+        "backend_kind": "live",
+        "backend": BackendConfig(timeout_s=5.0),
+        "mock_script": script,
+        "cache_dir": root / "cache",
+        "ablation": AblationConfig(EventFeatures.C, DemandFeatures.O),
+        "concurrency": 1,
+        "fallback_budget": 0.5,
+        "max_description_words": 5,
+        "template_dir": templates,
+        "linear_ridge_lambda": 3.0,
+        "gbdt": GbdtParams(n_trees=7),
+        "time_bins": 12,
+        "text_dim": 16,
+        "ablate_models": ("llm", "gbdt"),
+    }
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_fields_outside_a_stage_slice_leave_its_bytes_alone(seven_stage_run, tmp_path, stage):
+    """A field that is in no slice of a stage must not change what it writes,
+    or a stage that skips could keep stale outputs."""
+    config = seven_stage_run
+    other = _other_values(config, tmp_path)
+    assert set(other) == {f.name for f in fields(PipelineConfig)} - {"output_dir"}
+    stage_def = _STAGE_DEFS[stage]
+    changed = replace(
+        config,
+        output_dir=tmp_path / "out",
+        **{name: value for name, value in other.items() if name not in stage_def.config},
+    )
+    shutil.copytree(config.output_dir, changed.output_dir)
+    for name in stage_def.writes:
+        artifact_path(changed, name).unlink()
+    assert not run_stage(stage, changed).skipped
+    for name in stage_def.writes:
+        assert artifact_path(changed, name).read_bytes() == \
+            artifact_path(config, name).read_bytes(), name
+
+
 def test_evaluate_restores_deleted_and_corrupted_outputs(small_config, tmp_path):
     config = _fresh(small_config, tmp_path)
     run_pipeline(config)
@@ -663,14 +773,28 @@ def test_evaluate_restores_deleted_and_corrupted_outputs(small_config, tmp_path)
     assert {path: path.read_bytes() for path in expected} == expected
 
 
-def test_format_events_counts_only_calls_that_reach_the_model(small_config, tmp_path):
+@pytest.mark.parametrize("stage, least", [
+    pytest.param("format_events", lambda stats, config: stats["unique"], id="format_events"),
+    pytest.param("predict", lambda stats, config: config.test_range.n_days, id="predict"),
+    # six grid configurations, each predicting every test day
+    pytest.param("ablate", lambda stats, config: 6 * config.test_range.n_days, id="ablate"),
+])
+def test_format_events_counts_only_calls_that_reach_the_model(
+    small_config, tmp_path, stage, least
+):
     config = _fresh(small_config, tmp_path, cache_dir=tmp_path / "cache")
-    cold = run_stage("format_events", config)
-    assert cold.stats["backend_calls"] >= cold.stats["unique"] > 0
-    artifact_path(config, "formatted_events").unlink()
-    warm = run_stage("format_events", config)  # every reply is in the cache
-    assert not warm.skipped
-    assert warm.stats["backend_calls"] == 0
+    run_pipeline(replace(config, cache_dir=None), PRE_PREDICT)  # the cache stays empty
+
+    def rerun() -> dict:
+        for name in _STAGE_DEFS[stage].writes:
+            artifact_path(config, name).unlink(missing_ok=True)
+        result = run_stage(stage, config)
+        assert not result.skipped
+        return result.stats
+
+    cold = rerun()
+    assert cold["backend_calls"] >= least(cold, config) > 0
+    assert rerun()["backend_calls"] == 0  # every reply is in the cache
 
 
 def test_gbdt_ablation_grid(small_config, tmp_path):
