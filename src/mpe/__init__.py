@@ -42,7 +42,6 @@ from .metrics import (
     MetricsReport,
     canonical_grid,
     compute_metrics,
-    run_ablation,
     segment_report,
 )
 from .parsing import (

@@ -75,6 +75,9 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if not (0.0 <= self.linear_ridge_lambda < float("inf")):
             raise ConfigError("linear_ridge_lambda must be finite and >= 0")
+        for name in self.ablate_models:
+            if name not in (LLM_MODEL_NAME, "gbdt"):
+                raise ConfigError(f"ablate_models must be {LLM_MODEL_NAME} or gbdt, not {name!r}")
 
     @property
     def full_range(self) -> DateRange:

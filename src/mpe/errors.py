@@ -52,11 +52,11 @@ class FallbackBudgetError(MpeError):
     exit_code = 5
 
 
-class SchemaError(MpeError):
+class SchemaError(ConfigError):
     """Input file is missing required columns or is structurally invalid."""
 
 
-class CatalogError(MpeError):
+class CatalogError(ConfigError):
     """Event catalog document is malformed or contains an invalid record."""
 
 
@@ -70,11 +70,3 @@ class MalformedReplyError(MpeError):
 
 class StageError(MpeError):
     """A pipeline stage failed while running."""
-
-
-class AblationError(MpeError):
-    """An ablation runner failed; carries the failing configuration."""
-
-    def __init__(self, message, ablation=None):
-        super().__init__(message)
-        self.ablation = ablation

@@ -20,6 +20,7 @@ from typing import Mapping, NamedTuple
 import requests
 
 from .errors import (
+    BackendError,
     ConfigError,
     MissingScriptError,
     ProtocolError,
@@ -152,17 +153,19 @@ class HttpBackend(ChatBackend):
                 f"no API key: set {API_KEY_ENV} or BackendConfig.api_key"
             )
         self._url = config.base_url.rstrip("/") + "/v1/chat/completions"
+        self.call_count = 0  # one per `complete`, however many attempts it makes
+        self._lock = threading.Lock()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
+        with self._lock:
+            self.call_count += 1
         headers = {
             "Authorization": f"Bearer {self.api_key}",
             "Content-Type": "application/json",
         }
         body = canonical_payload(request)
         attempts = self.config.max_retries + 1
-        last_exc: Exception | None = None
-        last_status = None
-        last_body = None
+        error: BackendError | None = None  # the last failure wins
         for attempt in range(attempts):
             if attempt:
                 time.sleep(self.config.retry_backoff_s * 2 ** (attempt - 1))
@@ -171,11 +174,14 @@ class HttpBackend(ChatBackend):
                     self._url, json=body, headers=headers, timeout=self.config.timeout_s
                 )
             except requests.RequestException as exc:
-                last_exc = exc
+                error = TransportError(f"transport failed after {attempts} attempts: {exc}")
                 continue
             if resp.status_code in RETRYABLE_STATUSES:
-                last_status, last_body = resp.status_code, resp.text
-                last_exc = None
+                error = ProtocolError(
+                    f"retryable HTTP {resp.status_code} persisted after {attempts} attempts",
+                    status=resp.status_code,
+                    body=resp.text,
+                )
                 continue
             if not (200 <= resp.status_code < 300):
                 raise ProtocolError(
@@ -184,13 +190,7 @@ class HttpBackend(ChatBackend):
                     body=resp.text,
                 )
             return self._parse(resp)
-        if last_exc is not None:
-            raise TransportError(f"transport failed after {attempts} attempts: {last_exc}")
-        raise ProtocolError(
-            f"retryable HTTP {last_status} persisted after {attempts} attempts",
-            status=last_status,
-            body=last_body,
-        )
+        raise error
 
     @staticmethod
     def _parse(resp) -> ChatResponse:

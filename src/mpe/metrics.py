@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .decomposition import Flows
-from .errors import AblationError
 from .events import DayEvents
 from .ioutil import write_csv
 from .prompts import AblationConfig, DemandFeatures, EventFeatures
@@ -160,36 +159,6 @@ def canonical_grid(full_event: EventFeatures = EventFeatures.C_T_H_PRIME) -> lis
     grid = [AblationConfig(level, DemandFeatures.R_I) for level in EventFeatures]
     grid.append(AblationConfig(full_event, DemandFeatures.O))
     return grid
-
-
-def run_ablation(
-    grid: Sequence[AblationConfig],
-    runner: Callable[[AblationConfig], Sequence[EvalRecord] | None],
-    calendar: Mapping[date, DayEvents],
-    model_name: str,
-) -> list[AblationRow]:
-    """Evaluate the runner at each configuration, in the given order.
-
-    A runner returning None marks the configuration not applicable for this
-    model; the row is emitted with an absent report. Runner exceptions are
-    wrapped with the failing configuration attached.
-    """
-    if not grid:
-        raise ValueError("ablation grid must be non-empty")
-    rows = []
-    for config in grid:
-        try:
-            records = runner(config)
-        except Exception as exc:
-            raise AblationError(
-                f"ablation runner failed at {config.name}: {exc}", ablation=config
-            ) from exc
-        if records is None:
-            rows.append(AblationRow(model_name, config, None))
-        else:
-            report = segment_report(records, calendar, model_name, config)
-            rows.append(AblationRow(model_name, config, report))
-    return rows
 
 
 REPORT_COLUMNS = ["model", "ablation", "segment", "n", "rmse", "mae", "mape", "r2"]

@@ -72,7 +72,6 @@ from .metrics import (
     AblationRow,
     EvalRecord,
     canonical_grid,
-    run_ablation,
     segment_report,
     write_ablation_csv,
     write_plot_csv,
@@ -742,15 +741,16 @@ def _stage_ablate(config: PipelineConfig, backend: ChatBackend) -> dict:
             return None  # not applicable for classical baselines
         return _fit_classical(config, ablation, history, ("gbdt",))["gbdt"].records
 
+    models = {LLM_MODEL_NAME: (EventFeatures.C_T_H_PRIME, llm_runner),
+              "gbdt": (EventFeatures.C_T_H, gbdt_runner)}
     rows: list[AblationRow] = []
     for model_name in config.ablate_models:
-        if model_name == LLM_MODEL_NAME:
-            grid, runner = canonical_grid(EventFeatures.C_T_H_PRIME), llm_runner
-        elif model_name == "gbdt":
-            grid, runner = canonical_grid(EventFeatures.C_T_H), gbdt_runner
-        else:
-            raise ConfigError(f"unknown ablate model: {model_name}")
-        rows.extend(run_ablation(grid, runner, history.calendar, model_name))
+        full_event, runner = models[model_name]  # PipelineConfig admits no other name
+        for ablation in canonical_grid(full_event):
+            records = runner(ablation)  # None: not applicable for this model
+            report = None if records is None else segment_report(
+                records, history.calendar, model_name, ablation)
+            rows.append(AblationRow(model_name, ablation, report))
     write_ablation_csv(rows, artifact_path(config, "ablation_report"))
     return {"models": list(config.ablate_models), "configs": len(rows)}
 

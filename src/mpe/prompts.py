@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+import string
+from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
 from typing import Sequence
@@ -159,18 +160,30 @@ class PromptTemplates:
 DEFAULT_TEMPLATES = PromptTemplates()
 
 
+def _placeholders(template: str) -> set[str]:
+    """The field names of a format string, each up to its first `.` or `[`."""
+    names = (name for _, name, _, _ in string.Formatter().parse(template) if name is not None)
+    return {name.partition(".")[0].partition("[")[0] for name in names}
+
+
 def load_templates(directory: Path | str) -> PromptTemplates:
     """Read template overrides from <dir>/event_format.txt, prediction.txt;
-    one that cannot be read as UTF-8 text is a ConfigError."""
+    one that cannot be read as UTF-8 text, is not a format string, or names
+    a placeholder its default template lacks is a ConfigError."""
     directory = Path(directory)
     kwargs = {}
     for name in ("event_format", "prediction"):
         path = directory / f"{name}.txt"
         if path.exists():
             try:
-                kwargs[name] = read_text(path)
+                text = kwargs[name] = read_text(path)
+                unknown = _placeholders(text) - _placeholders(getattr(DEFAULT_TEMPLATES, name))
             except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read template {path}: {exc}") from exc
+            except ValueError as exc:  # a lone `{` or `}`
+                raise ConfigError(f"template {path} is not a format string: {exc}") from exc
+            if unknown:
+                raise ConfigError(f"template {path} has an unknown placeholder {{{min(unknown)}}}")
     return PromptTemplates(**kwargs)
 
 

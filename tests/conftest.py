@@ -1,4 +1,5 @@
 import sys
+import time
 from datetime import date
 from pathlib import Path
 
@@ -12,6 +13,25 @@ from mpe.trips import DateRange
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SNAPSHOT_DIR = REPO_ROOT / "prompts" / "snapshots"
+
+
+class YieldingCallCount:
+    """Backend mixin that yields the interpreter between reading and writing
+    ``call_count``.
+
+    That widens the read-modify-write window so that an unguarded
+    increment loses updates visibly instead of rarely.
+    """
+
+    @property
+    def call_count(self):
+        value = self._count
+        time.sleep(0)
+        return value
+
+    @call_count.setter
+    def call_count(self, value):
+        self._count = value
 
 
 @pytest.fixture(scope="session")

@@ -143,9 +143,48 @@ def test_trip_source_that_is_not_utf8_exits_2(cli_dataset, tmp_path, capsys):
     assert "error: cannot read trip source" in capsys.readouterr().err
 
 
+def test_trip_header_without_coordinates_exits_2(cli_dataset, tmp_path, capsys):
+    trips = tmp_path / "trips.csv"
+    trips.write_text("pickup_datetime,dropoff_datetime\n2021-05-03 10:00:00,2021-05-03 10:20:00\n")
+    config_path = _config_with_sources(cli_dataset, tmp_path, trip_source=trips)
+    assert main(["ingest", "--config", config_path]) == 2
+    assert "error: trip CSV header missing columns" in capsys.readouterr().err
+
+
+def test_catalog_entry_without_date_exits_2(cli_dataset, tmp_path, capsys):
+    events = tmp_path / "events.json"
+    events.write_text(json.dumps([{"title": "Night Game", "description": None}]))
+    config_path = _config_with_sources(cli_dataset, tmp_path, event_source=events)
+    assert main(["ingest", "--config", config_path]) == 0
+    capsys.readouterr()
+    assert main(["decompose", "--config", config_path]) == 2
+    assert "error: event 0: missing date" in capsys.readouterr().err
+
+
+def test_template_with_an_unknown_placeholder_exits_2_before_any_model_call(
+    cli_dataset, tmp_path, capsys
+):
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    (templates / "prediction.txt").write_text("Predict {target_date}, {bogus}")
+    script = tmp_path / "empty_script.json"
+    script.write_text("{}")  # a model call would exit 4
+    config_path = _config_with_sources(cli_dataset, tmp_path, template_dir=templates)
+    assert main(["ingest", "--config", config_path]) == 0
+    capsys.readouterr()
+    code = main([
+        "format_events", "--config", config_path,
+        "--backend", "mock", "--mock-script", str(script),
+        "--cache-dir", str(tmp_path / "cache"),
+    ])
+    assert code == 2
+    assert "has an unknown placeholder {bogus}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value", [
     ("temperature", 3), ("max_tokens", 0), ("time_bins", 0), ("text_dim", 0),
     ("linear_ridge_lambda", -1), ("max_description_words", -5),
+    ("ablate_models", ["llm", "gbtd"]),
 ])
 def test_out_of_range_config_value_exits_2_before_any_stage(
     cli_dataset, tmp_path, capsys, field, value
@@ -169,3 +208,19 @@ def test_ablate_via_cli(cli_dataset, capsys):
     assert main(["ablate"] + config_arg) == 0
     report = (cli_dataset / "out" / "ablation_report.csv").read_text()
     assert "na/r_i" in report and "c_t_h_prime/o" in report
+
+
+def test_ablate_backend_error_exits_4(cli_dataset, tmp_path, capsys):
+    script = tmp_path / "empty_script.json"
+    script.write_text("{}")
+    config_path = _config_with_sources(cli_dataset, tmp_path)
+    for stage in ("ingest", "format_events", "decompose"):
+        assert main([stage, "--config", config_path]) == 0, stage
+    capsys.readouterr()
+    code = main([
+        "ablate", "--config", config_path,
+        "--backend", "mock", "--mock-script", str(script),
+        "--cache-dir", str(tmp_path / "cache"),
+    ])
+    assert code == 4
+    assert "no scripted reply" in capsys.readouterr().err

@@ -9,6 +9,7 @@ import shutil
 import string
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -30,6 +31,7 @@ from mpe.gateway import (
     canonical_serialization,
 )
 
+from conftest import YieldingCallCount
 from oracles import canonical_digest
 
 
@@ -425,6 +427,20 @@ def test_http_backend_retries_transient_then_succeeds(stub_server):
     backend = _http_backend(stub_server, retries=3)
     assert backend.complete(_request("retry")).content == "live reply"
     assert len(_StubHandler.seen) == 3
+
+
+class _YieldingCountHttpBackend(YieldingCallCount, HttpBackend):
+    pass
+
+
+def test_http_backend_counts_calls_not_attempts(stub_server):
+    _StubHandler.script["fail_times"] = 1
+    backend = _YieldingCountHttpBackend(_http_backend(stub_server, retries=3).config)
+    backend.complete(_request("retried once"))
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        list(pool.map(lambda i: backend.complete(_request(f"call {i}")), range(40)))
+    assert len(_StubHandler.seen) == 42
+    assert backend.call_count == 41
 
 
 def test_http_backend_terminal_4xx_no_retry(stub_server):

@@ -2,7 +2,6 @@
 
 import sys
 import threading
-import time
 
 import pytest
 
@@ -21,7 +20,7 @@ from mpe.prompts import (
     build_prediction_prompt,
 )
 
-from conftest import SNAPSHOT_DIR
+from conftest import SNAPSHOT_DIR, YieldingCallCount
 from prompt_fixtures import (
     NO_DESCRIPTION_EVENT,
     TARGET_BASELINE,
@@ -102,22 +101,8 @@ def test_deterministic_replies():
     assert first == second
 
 
-class _YieldingCounterBackend(HeuristicBackend):
-    """Yields the interpreter between reading and writing ``call_count``.
-
-    That widens the read-modify-write window so that an unguarded
-    increment loses updates visibly instead of rarely.
-    """
-
-    @property
-    def call_count(self):
-        value = self._count
-        time.sleep(0)
-        return value
-
-    @call_count.setter
-    def call_count(self, value):
-        self._count = value
+class _YieldingCounterBackend(YieldingCallCount, HeuristicBackend):
+    pass
 
 
 def test_call_count_exact_under_concurrent_calls():

@@ -2,12 +2,14 @@
 
 import csv
 import random
+from dataclasses import replace
 from datetime import date, time, timedelta
+from itertools import groupby
 
 import pytest
 
+from mpe.baselines import GbdtParams
 from mpe.decomposition import Flows
-from mpe.errors import AblationError
 from mpe.events import DayEvents, EventRecord
 from mpe.metrics import (
     AblationRow,
@@ -15,14 +17,14 @@ from mpe.metrics import (
     Metrics,
     canonical_grid,
     compute_metrics,
-    run_ablation,
     segment_report,
     write_ablation_csv,
     write_plot_csv,
     write_report_csv,
 )
+from mpe.pipeline import STAGES, artifact_path, run_pipeline
 from mpe.prompts import AblationConfig, DemandFeatures, EventFeatures
-from mpe.trips import DailyDemand
+from mpe.trips import DailyDemand, DateRange
 
 from oracles import metrics_brute_force
 
@@ -208,35 +210,26 @@ def test_canonical_grid_shape():
     assert gbdt_grid[-1].name == "c_t_h/o"
 
 
-def test_run_ablation_order_and_absent_rows():
-    records = _records(4)
-    calendar = _calendar([r.date for r in records], {records[0].date})
-
-    def runner(config):
-        if config.event_features is EventFeatures.C_T_H_PRIME:
-            return None
-        return records
-
-    rows = run_ablation(canonical_grid(EventFeatures.C_T_H), runner, calendar, "gbdt")
-    assert [r.ablation.name for r in rows] == [c.name for c in canonical_grid(EventFeatures.C_T_H)]
-    absent = [r for r in rows if r.report is None]
-    assert len(absent) == 1 and absent[0].ablation.event_features is EventFeatures.C_T_H_PRIME
-    present = [r for r in rows if r.report is not None]
-    assert all(r.report.model_name == "gbdt" for r in present)
-
-
-def test_run_ablation_wraps_runner_failures():
-    def runner(config):
-        raise RuntimeError("boom")
-
-    with pytest.raises(AblationError) as info:
-        run_ablation([AblationConfig()], runner, {}, "m")
-    assert info.value.ablation == AblationConfig()
-
-
-def test_run_ablation_empty_grid_errors():
-    with pytest.raises(ValueError):
-        run_ablation([], lambda c: [], {}, "m")
+def test_run_ablation_order_and_absent_rows(small_config, tmp_path):
+    # The ablate stage lists each model's cells in grid order, every row under its
+    # model's name; a cell the model cannot run keeps one row with empty metrics.
+    config = replace(
+        small_config, output_dir=tmp_path / "out", cache_dir=None,
+        test_range=DateRange(date(2021, 7, 1), date(2021, 7, 14)),
+        ablate_models=("llm", "gbdt"), gbdt=GbdtParams(n_trees=5),
+    )
+    run_pipeline(config, STAGES)
+    with open(artifact_path(config, "ablation_report"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    cells = [key for key, _ in groupby((r["model"], r["ablation"]) for r in rows)]
+    grids = {"llm": EventFeatures.C_T_H_PRIME, "gbdt": EventFeatures.C_T_H}
+    assert cells == [
+        (model_name, ablation.name)
+        for model_name, full_event in grids.items()
+        for ablation in canonical_grid(full_event)
+    ]
+    absent = [(r["model"], r["ablation"]) for r in rows if r["n"] == ""]
+    assert absent == [("gbdt", "c_t_h_prime/r_i")]
 
 
 # --- CSV writers -------------------------------------------------------------------

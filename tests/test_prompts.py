@@ -271,6 +271,16 @@ def test_template_that_is_not_utf8_is_a_config_error(tmp_path):
         load_templates(tmp_path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("Day {target_date}: {bogus.attr}", r"unknown placeholder \{bogus\}"),
+    ("Day {target_date", "not a format string"),
+], ids=["unknown-placeholder", "unbalanced-brace"])
+def test_template_with_a_bad_placeholder_is_a_config_error(tmp_path, text, message):
+    (tmp_path / "prediction.txt").write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        load_templates(tmp_path)
+
+
 def test_template_overrides(tmp_path):
     (tmp_path / "event_format.txt").write_text("EVENT {title} / {description}")
     templates = load_templates(tmp_path)
