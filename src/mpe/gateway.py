@@ -7,25 +7,25 @@ serialization, which keys both the response cache and mock scripts.
 
 from __future__ import annotations
 
+import base64
+import email.utils
 import hashlib
+import http.client
 import json
 import os
+import select
+import ssl
 import threading
 import time
+import urllib.request
 from dataclasses import dataclass, field
-from functools import cached_property
+from datetime import datetime, timezone
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Mapping, NamedTuple
+from urllib.parse import unquote, urlsplit
 
-import requests
-
-from .errors import (
-    BackendError,
-    ConfigError,
-    MissingScriptError,
-    ProtocolError,
-    TransportError,
-)
+from .errors import BackendError, ConfigError, MissingScriptError, ProtocolError, TransportError
 from .ioutil import atomic_write_bytes, read_text
 
 ROLES = ("system", "user", "assistant")
@@ -108,6 +108,9 @@ class BackendConfig:
             raise ValueError("max_retries must be in [0, 10]")
         if self.retry_backoff_s <= 0:
             raise ValueError("retry_backoff_s must be positive")
+        url = urlsplit(self.base_url)  # reading `port` raises on a malformed one
+        if url.scheme not in ("http", "https") or not url.hostname or url.port == 0:
+            raise ValueError(f"base_url must be an http(s) URL with a host: {self.base_url!r}")
 
 
 def canonical_payload(request: ChatRequest) -> dict:
@@ -137,12 +140,18 @@ class ChatBackend:
     def complete(self, request: ChatRequest) -> ChatResponse:
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release what the backend holds open; call with no call in flight."""
+
 
 class HttpBackend(ChatBackend):
-    """Live backend speaking the POST /v1/chat/completions protocol.
+    """Live backend speaking the POST /v1/chat/completions protocol over
+    HTTP/1.1, through the proxy the environment names, if any. A connection
+    stays open between calls; at most one is open per call in flight.
 
-    Retries transport failures and 429/5xx with exponential backoff; any
-    other non-2xx status is terminal.
+    Retries transport failures and 429/5xx with exponential backoff, or
+    after the wait a 429 or 503 asks for in `Retry-After`, at most
+    `timeout_s`; any other non-2xx status, a redirect included, is terminal.
     """
 
     def __init__(self, config: BackendConfig = BackendConfig()):
@@ -152,51 +161,87 @@ class HttpBackend(ChatBackend):
             raise ConfigError(
                 f"no API key: set {API_KEY_ENV} or BackendConfig.api_key"
             )
-        self._url = config.base_url.rstrip("/") + "/v1/chat/completions"
+        url = urlsplit(config.base_url)
+        self._path = url.path.rstrip("/") + "/v1/chat/completions"
+        self._headers = {"Authorization": f"Bearer {self.api_key}",
+                         "Content-Type": "application/json"}
+        self._connect = partial(http.client.HTTPConnection, timeout=config.timeout_s)
+        if url.scheme == "https":  # verified against the system's CA store
+            self._connect = partial(http.client.HTTPSConnection, timeout=config.timeout_s,
+                                    context=ssl.create_default_context())
+        self._address, self._tunnel = (url.hostname, url.port), None
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(url.hostname):  # CONNECT, either scheme
+            proxy = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            user = f"{unquote(proxy.username or '')}:{unquote(proxy.password or '')}"
+            auth = {"Proxy-Authorization": "Basic " + base64.b64encode(user.encode()).decode()}
+            self._tunnel = (url.hostname, url.port, auth if proxy.username else {})
+            self._address = (proxy.hostname, proxy.port)
         self.call_count = 0  # one per `complete`, however many attempts it makes
+        self._idle: list[http.client.HTTPConnection] = []
         self._lock = threading.Lock()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         with self._lock:
             self.call_count += 1
-        headers = {
-            "Authorization": f"Bearer {self.api_key}",
-            "Content-Type": "application/json",
-        }
-        body = canonical_payload(request)
+        body = json.dumps(canonical_payload(request), allow_nan=False).encode("utf-8")
         attempts = self.config.max_retries + 1
         error: BackendError | None = None  # the last failure wins
         for attempt in range(attempts):
             if attempt:
-                time.sleep(self.config.retry_backoff_s * 2 ** (attempt - 1))
+                time.sleep(wait)
+            wait = self.config.retry_backoff_s * 2 ** attempt  # before the next attempt
             try:
-                resp = requests.post(
-                    self._url, json=body, headers=headers, timeout=self.config.timeout_s
-                )
-            except requests.RequestException as exc:
+                resp, text = self._exchange(body)
+            except (OSError, http.client.HTTPException) as exc:
                 error = TransportError(f"transport failed after {attempts} attempts: {exc}")
                 continue
-            if resp.status_code in RETRYABLE_STATUSES:
-                error = ProtocolError(
-                    f"retryable HTTP {resp.status_code} persisted after {attempts} attempts",
-                    status=resp.status_code,
-                    body=resp.text,
-                )
-                continue
-            if not (200 <= resp.status_code < 300):
+            if 200 <= resp.status < 300:
+                return self._parse(text)
+            if resp.status not in RETRYABLE_STATUSES:
                 raise ProtocolError(
-                    f"chat completion failed with HTTP {resp.status_code}",
-                    status=resp.status_code,
-                    body=resp.text,
+                    f"chat completion failed with HTTP {resp.status}", status=resp.status, body=text
                 )
-            return self._parse(resp)
+            if resp.status in (429, 503):
+                wait = _retry_after(resp.getheader("Retry-After"), wait, self.config.timeout_s)
+            error = ProtocolError(
+                f"retryable HTTP {resp.status} persisted after {attempts} attempts",
+                status=resp.status, body=text,
+            )
         raise error
 
-    @staticmethod
-    def _parse(resp) -> ChatResponse:
-        """The completion in `resp`; any malformed body is a ProtocolError."""
+    def _exchange(self, body: bytes) -> tuple[http.client.HTTPResponse, str]:
+        """One attempt on a pooled connection: the response and its body text."""
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is None:  # a new connection opens with its first request
+            conn = self._connect(*self._address)
+            if self._tunnel:
+                conn.set_tunnel(*self._tunnel)
+        elif conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+            conn.close()  # the server closed it while idle; the request reopens it
         try:
-            doc = resp.json()
+            conn.request("POST", self._path, body, self._headers)
+            resp = conn.getresponse()
+            text = resp.read().decode("utf-8", errors="replace")
+        except BaseException:
+            conn.close()
+            raise
+        with self._lock:
+            self._idle.append(conn)
+        return resp, text
+
+    def close(self) -> None:
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    @staticmethod
+    def _parse(text: str) -> ChatResponse:
+        """The completion in body `text`; any malformed body is a ProtocolError."""
+        try:
+            doc = json.loads(text)
             choice = doc["choices"][0]
             content = choice["message"]["content"]
             if not isinstance(content, str):
@@ -217,8 +262,20 @@ class HttpBackend(ChatBackend):
             )
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(
-                f"unintelligible completion body: {exc}", body=resp.text
+                f"unintelligible completion body: {exc}", body=text
             ) from exc
+
+
+def _retry_after(value: str | None, default: float, cap: float) -> float:
+    """The seconds a Retry-After of delay seconds or an HTTP-date asks for
+    (RFC 9110 section 10.2.3), at most `cap`; `default` if absent or unreadable."""
+    try:
+        if value.strip().isdigit():
+            return min(float(value), cap)
+        when = email.utils.parsedate_to_datetime(value)
+        return min(max((when - datetime.now(timezone.utc)).total_seconds(), 0.0), cap)
+    except (AttributeError, TypeError, ValueError):  # None, not a date, a date with no zone
+        return default
 
 
 class ScriptedBackend(ChatBackend):
@@ -306,6 +363,9 @@ class CachingBackend(ChatBackend):
 
     def _path(self, digest: str) -> Path:
         return self.store / "sha256" / digest[:2] / f"{digest}.json"
+
+    def close(self) -> None:
+        self.inner.close()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         digest = cache_key(request)

@@ -1008,7 +1008,9 @@ def run_stage(
     backend: ChatBackend | None = None,
 ) -> StageResult:
     """Run one stage, or skip it when its declared inputs and outputs are
-    unchanged. A skip saves the manifest only when its check recorded a file."""
+    unchanged. A skip saves the manifest only when its check recorded a file.
+    A stage that needs a backend and is given none builds one, and closes it;
+    a given backend is the caller's to close."""
     stage_def = _stage_def(stage)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     manifest, digest, state, up_to_date = _check(stage, config)
@@ -1017,12 +1019,17 @@ def run_stage(
             save_manifest(config, manifest)
         return StageResult(stage, True, manifest["stages"][stage].get("stats", {}))
 
-    if stage_def.needs_backend and backend is None:
+    built = stage_def.needs_backend and backend is None
+    if built:
         backend = build_backend(config)
-    before = _backend_call_count(backend) if stage_def.needs_backend else None
-    stats = stage_def.run(config, backend)
-    if before is not None:
-        stats["backend_calls"] = _backend_call_count(backend) - before
+    try:
+        before = _backend_call_count(backend) if stage_def.needs_backend else None
+        stats = stage_def.run(config, backend)
+        if before is not None:
+            stats["backend_calls"] = _backend_call_count(backend) - before
+    finally:
+        if built:
+            backend.close()
     manifest["stages"][stage] = {
         **state,
         "outputs": _output_digests(stage, config, digest),

@@ -15,7 +15,7 @@ import os
 import random
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import replace
 from datetime import date, datetime, time as time_of_day, timedelta
 
@@ -402,16 +402,16 @@ def test_criterion_9_live_smoke(tmp_path):
         )
         from mpe.pipeline import build_backend
 
-        backend = build_backend(config)
         fallbacks = 0
         day_history = dict(history)
-        for i in range(5):
-            target = end + timedelta(days=i + 1)
-            fmt_request = build_event_format_prompt(catalog[i], model=config.model)
-            reply = backend.complete(fmt_request)
-            parse_formatted_event(reply.content, catalog[i])
-            result = predict_next_day(day_history, catalog, target, config, backend)
-            if result.reasoning == "fallback: baseline":
-                fallbacks += 1
-            day_history[target] = DailyDemand(target, result.pickup, result.dropoff)
+        with closing(build_backend(config)) as backend:
+            for i in range(5):
+                target = end + timedelta(days=i + 1)
+                fmt_request = build_event_format_prompt(catalog[i], model=config.model)
+                reply = backend.complete(fmt_request)
+                parse_formatted_event(reply.content, catalog[i])
+                result = predict_next_day(day_history, catalog, target, config, backend)
+                if result.reasoning == "fallback: baseline":
+                    fallbacks += 1
+                day_history[target] = DailyDemand(target, result.pickup, result.dropoff)
         assert fallbacks / 5 <= 0.20

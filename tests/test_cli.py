@@ -196,6 +196,20 @@ def test_out_of_range_config_value_exits_2_before_any_stage(
     assert not (tmp_path / "o").exists()
 
 
+def test_live_base_url_without_a_scheme_exits_2_before_any_stage(
+    cli_dataset, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setenv("LLM_API_KEY", "test-key")
+    config_path = Path(_config_with_sources(cli_dataset, tmp_path))
+    config_doc = json.loads(config_path.read_text())
+    config_doc["backend"] = {"kind": "live", "base_url": "api.example.com"}
+    config_path.write_text(json.dumps(config_doc))
+    assert main(["run", "--config", str(config_path), "--with-ablate"]) == 2
+    assert "base_url must be an http(s) URL with a host: 'api.example.com'" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_ablation_name_exits_2(cli_dataset, capsys):
     code = main([
         "ingest", "--config", str(cli_dataset / "config.json"), "--ablation", "zz",

@@ -1,15 +1,23 @@
 """Backends: digests, scripted mock, cache overlay, and the HTTP client
 against a local stub server."""
 
+import http.client
 import itertools
 import json
 import os
 import random
+import select
 import shutil
+import socket
+import socketserver
+import ssl
 import string
+import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -28,6 +36,7 @@ from mpe.gateway import (
     ScriptedBackend,
     TokenUsage,
     cache_key,
+    canonical_payload,
     canonical_serialization,
 )
 
@@ -74,6 +83,14 @@ def test_backend_config_validation():
         BackendConfig(max_retries=11)
     with pytest.raises(ValueError):
         BackendConfig(timeout_s=0)
+    for base_url in (
+        "api.example.com", "ftp://api.example.com", "http://", "https:///v1",
+        "http://api.example.com:port", "http://api.example.com:70000", "http://host:0",
+    ):
+        with pytest.raises(ValueError):
+            BackendConfig(base_url=base_url)
+    for base_url in ("http://127.0.0.1:8080", "https://api.example.com/prefix/", "HTTPS://h"):
+        assert BackendConfig(base_url=base_url).base_url == base_url
 
 
 # --- cache keys ----------------------------------------------------------------
@@ -347,70 +364,105 @@ def test_unwritable_store_raises_config_error(tmp_path):
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    script = {"fail_times": 0, "status": 200}
-    seen = []
+    """Speaks HTTP/1.1, so a connection stays open between requests, and
+    records each request's arrival time and raw body, and each connection."""
 
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        body = json.loads(self.rfile.read(length))
-        type(self).seen.append({
-            "path": self.path,
-            "auth": self.headers.get("Authorization"),
-            "body": body,
-        })
-        if type(self).script["fail_times"] > 0:
-            type(self).script["fail_times"] -= 1
-            self.send_response(503)
-            self.end_headers()
-            self.wfile.write(b"overloaded")
-            return
-        status = type(self).script["status"]
-        if status != 200:
-            self.send_response(status)
-            self.end_headers()
-            self.wfile.write(b"nope")
-            return
-        payload = type(self).script["payload"] or {
-            "choices": [{"message": {"content": "live reply"}, "finish_reason": "stop"}],
-            "usage": {"prompt_tokens": 7, "completion_tokens": 2},
-        }
-        raw = json.dumps(payload).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
+    protocol_version = "HTTP/1.1"
+    script = {}
+    seen = []
+    connections = []
+    closed = threading.Semaphore(0)  # released as the server closes a connection
+
+    def setup(self):
+        super().setup()
+        type(self).connections.append(self.client_address)
+
+    def _reply(self, status, raw, headers=()):
+        self.send_response(status)
+        for name, value in headers:
+            self.send_header(name, value)
         self.send_header("Content-Length", str(len(raw)))
         self.end_headers()
         self.wfile.write(raw)
+
+    def do_POST(self):
+        length = int(self.headers["Content-Length"])
+        raw = self.rfile.read(length)
+        type(self).seen.append({
+            "path": self.path,
+            "auth": self.headers.get("Authorization"),
+            "body": json.loads(raw),
+            "raw": raw,
+            "at": time.monotonic(),
+        })
+        script = type(self).script
+        if script["fail_times"] > 0:
+            script["fail_times"] -= 1
+            self._reply(script["fail_status"], b"overloaded", script["fail_headers"])
+            return
+        if script["status"] != 200:
+            self._reply(script["status"], b"nope")
+            return
+        payload = script["payload"] or {
+            "choices": [{"message": {"content": "live reply"}, "finish_reason": "stop"}],
+            "usage": {"prompt_tokens": 7, "completion_tokens": 2},
+        }
+        self._reply(200, json.dumps(payload).encode(), [("Content-Type", "application/json")])
+        # Closed after the reply without a `Connection: close` header, as a
+        # server that drops idle connections does.
+        self.close_connection = script["close"]
 
     def log_message(self, *args):
         pass
 
 
+class _StubServer(ThreadingHTTPServer):
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        _StubHandler.closed.release()
+
+
 @pytest.fixture()
 def stub_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+    server = _StubServer(("127.0.0.1", 0), _StubHandler)
     # shutdown() waits for the serve loop's next poll, so a short poll keeps
     # teardown fast (the default 0.5 s adds half a second to every test).
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
-    _StubHandler.script = {"fail_times": 0, "status": 200, "payload": None}
+    _StubHandler.script = {
+        "fail_times": 0, "fail_status": 503, "fail_headers": [],
+        "status": 200, "payload": None, "close": False,
+    }
     _StubHandler.seen = []
+    _StubHandler.connections = []
+    _StubHandler.closed = threading.Semaphore(0)
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
     server.server_close()
 
 
-def _http_backend(base_url, retries=2):
-    return HttpBackend(BackendConfig(
-        base_url=base_url,
-        api_key="test-key",
-        timeout_s=5.0,
-        max_retries=retries,
-        retry_backoff_s=0.01,
-    ))
+@pytest.fixture()
+def http_backend():
+    """Builds HTTP backends and closes each one when the test ends."""
+    built = []
+
+    def build(base_url, retries=2, timeout_s=5.0, backend_class=HttpBackend):
+        built.append(backend_class(BackendConfig(
+            base_url=base_url,
+            api_key="test-key",
+            timeout_s=timeout_s,
+            max_retries=retries,
+            retry_backoff_s=0.01,
+        )))
+        return built[-1]
+
+    yield build
+    for backend in built:
+        backend.close()
 
 
-def test_http_backend_wire_format(stub_server):
-    backend = _http_backend(stub_server)
+def test_http_backend_wire_format(stub_server, http_backend):
+    backend = http_backend(stub_server)
     response = backend.complete(_request("ping", temperature=0.0))
     assert response.content == "live reply"
     assert response.usage == TokenUsage(7, 2)
@@ -420,11 +472,16 @@ def test_http_backend_wire_format(stub_server):
     assert seen["body"]["temperature"] == 0
     assert seen["body"]["messages"] == [{"role": "user", "content": "ping"}]
     assert "max_tokens" not in seen["body"]
+    request = _request('naïve "quoted" — ✓\nsecond line', temperature=0.5, max_tokens=64)
+    backend.complete(request)
+    assert _StubHandler.seen[-1]["raw"] == json.dumps(
+        canonical_payload(request), allow_nan=False
+    ).encode()
 
 
-def test_http_backend_retries_transient_then_succeeds(stub_server):
+def test_http_backend_retries_transient_then_succeeds(stub_server, http_backend):
     _StubHandler.script["fail_times"] = 2
-    backend = _http_backend(stub_server, retries=3)
+    backend = http_backend(stub_server, retries=3)
     assert backend.complete(_request("retry")).content == "live reply"
     assert len(_StubHandler.seen) == 3
 
@@ -433,9 +490,9 @@ class _YieldingCountHttpBackend(YieldingCallCount, HttpBackend):
     pass
 
 
-def test_http_backend_counts_calls_not_attempts(stub_server):
+def test_http_backend_counts_calls_not_attempts(stub_server, http_backend):
     _StubHandler.script["fail_times"] = 1
-    backend = _YieldingCountHttpBackend(_http_backend(stub_server, retries=3).config)
+    backend = http_backend(stub_server, retries=3, backend_class=_YieldingCountHttpBackend)
     backend.complete(_request("retried once"))
     with ThreadPoolExecutor(max_workers=8) as pool:
         list(pool.map(lambda i: backend.complete(_request(f"call {i}")), range(40)))
@@ -443,18 +500,18 @@ def test_http_backend_counts_calls_not_attempts(stub_server):
     assert backend.call_count == 41
 
 
-def test_http_backend_terminal_4xx_no_retry(stub_server):
+def test_http_backend_terminal_4xx_no_retry(stub_server, http_backend):
     _StubHandler.script["status"] = 404
-    backend = _http_backend(stub_server)
+    backend = http_backend(stub_server)
     with pytest.raises(ProtocolError) as info:
         backend.complete(_request("nope"))
     assert info.value.status == 404
     assert len(_StubHandler.seen) == 1
 
 
-def test_http_backend_retryable_status_exhausts_to_protocol_error(stub_server):
+def test_http_backend_retryable_status_exhausts_to_protocol_error(stub_server, http_backend):
     _StubHandler.script["fail_times"] = 99
-    backend = _http_backend(stub_server, retries=1)
+    backend = http_backend(stub_server, retries=1)
     with pytest.raises(ProtocolError) as info:
         backend.complete(_request("always 503"))
     assert info.value.status == 503
@@ -475,27 +532,27 @@ def _completion(content, usage=None):
     _completion("ok", usage=[7, 2]),
     _completion("ok", usage={"prompt_tokens": "7", "completion_tokens": 2}),
 ], ids=["null-content", "empty-content", "number-content", "list-usage", "text-tokens"])
-def test_http_backend_malformed_completion_is_protocol_error(stub_server, payload):
+def test_http_backend_malformed_completion_is_protocol_error(stub_server, http_backend, payload):
     _StubHandler.script["payload"] = payload
-    backend = _http_backend(stub_server)
+    backend = http_backend(stub_server)
     with pytest.raises(ProtocolError) as info:
         backend.complete(_request("malformed"))
     assert info.value.exit_code == 4
     assert len(_StubHandler.seen) == 1  # a malformed body is terminal, not retried
 
 
-def test_http_backend_accepts_truncated_empty_content_and_null_usage(stub_server):
+def test_http_backend_accepts_truncated_empty_content_and_null_usage(stub_server, http_backend):
     _StubHandler.script["payload"] = {
         "choices": [{"message": {"content": ""}, "finish_reason": "length"}],
         "usage": {"prompt_tokens": None, "completion_tokens": None},
     }
-    response = _http_backend(stub_server).complete(_request("truncated"))
+    response = http_backend(stub_server).complete(_request("truncated"))
     assert (response.content, response.finish_reason) == ("", "length")
     assert response.usage == TokenUsage(0, 0)
 
 
-def test_http_backend_transport_error_after_retries():
-    backend = _http_backend("http://127.0.0.1:9", retries=1)  # closed port
+def test_http_backend_transport_error_after_retries(http_backend):
+    backend = http_backend("http://127.0.0.1:9", retries=1)  # closed port
     with pytest.raises(TransportError):
         backend.complete(_request("unreachable"))
 
@@ -508,8 +565,144 @@ def test_http_backend_requires_api_key(monkeypatch):
 
 def test_http_backend_reads_key_from_environment(monkeypatch, stub_server):
     monkeypatch.setenv("LLM_API_KEY", "env-key")
-    backend = HttpBackend(BackendConfig(
+    with closing(HttpBackend(BackendConfig(
         base_url=stub_server, timeout_s=5.0, max_retries=0, retry_backoff_s=0.01
-    ))
-    backend.complete(_request("env"))
+    ))) as backend:
+        backend.complete(_request("env"))
     assert _StubHandler.seen[-1]["auth"] == "Bearer env-key"
+
+
+def test_http_backend_keeps_one_connection_per_call_in_flight(stub_server, http_backend):
+    backend = http_backend(stub_server)
+    for i in range(20):
+        backend.complete(_request(f"sequential {i}"))
+    assert len(_StubHandler.seen) == 20 and len(_StubHandler.connections) == 1
+
+    _StubHandler.connections = []
+    backend = http_backend(stub_server)
+
+    def work(k):
+        for i in range(10):
+            backend.complete(_request(f"thread {k} call {i}"))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert len(_StubHandler.seen) == 40 and 1 <= len(_StubHandler.connections) <= 2
+
+
+def test_http_backend_reopens_a_connection_the_server_closed(stub_server, http_backend):
+    _StubHandler.script["close"] = True
+    backend = http_backend(stub_server, retries=0)  # a failed attempt would raise
+    for i in range(3):
+        assert backend.complete(_request(f"dropped {i}")).content == "live reply"
+        assert _StubHandler.closed.acquire(timeout=10)
+    assert len(_StubHandler.seen) == 3 and len(_StubHandler.connections) == 3
+
+
+def test_http_backend_waits_as_retry_after_asks_at_most_timeout(stub_server, http_backend):
+    _StubHandler.script.update(
+        fail_times=1, fail_status=429, fail_headers=[("Retry-After", "30")]
+    )
+    backend = http_backend(stub_server, timeout_s=0.3)
+    start = time.monotonic()
+    assert backend.complete(_request("rate limited")).content == "live reply"
+    assert time.monotonic() - start < 1.0
+    first, second = _StubHandler.seen
+    assert second["at"] - first["at"] >= 0.25
+
+
+@pytest.mark.parametrize("value, expected", [
+    (None, 0.5),
+    ("2", 2.0),
+    (" 7 ", 5.0),
+    ("soon", 0.5),
+    ("-1", 0.5),
+    ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0),
+    ("Fri, 31 Dec 9999 23:59:59 GMT", 5.0),
+    ("Fri, 31 Dec 9999 23:59:59 -0000", 0.5),
+], ids=["absent", "seconds", "seconds-capped", "word", "negative", "past-date",
+        "future-date-capped", "date-without-zone"])
+def test_retry_after_reads_seconds_or_an_http_date(value, expected):
+    assert gateway._retry_after(value, 0.5, 5.0) == expected
+
+
+class _ConnectProxy(socketserver.ThreadingTCPServer):
+    daemon_threads = True
+    connects: list
+
+
+class _ConnectHandler(socketserver.StreamRequestHandler):
+    """Answers one CONNECT, then pipes bytes both ways until a side closes."""
+
+    def handle(self):
+        lines = [self.rfile.readline().decode()]
+        while lines[-1] not in ("\r\n", "\n", ""):
+            lines.append(self.rfile.readline().decode())
+        self.server.connects.append(lines)
+        host, port = lines[0].split()[1].rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=10) as upstream:
+            self.wfile.write(b"HTTP/1.1 200 Connection established\r\n\r\n")
+            ends = {self.connection: upstream, upstream: self.connection}
+            while True:
+                for end in select.select(list(ends), [], [], 10)[0]:
+                    data = end.recv(65536)
+                    if not data:
+                        return
+                    ends[end].sendall(data)
+
+
+@pytest.fixture()
+def connect_proxy():
+    proxy = _ConnectProxy(("127.0.0.1", 0), _ConnectHandler)
+    proxy.connects = []
+    thread = threading.Thread(target=proxy.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    yield proxy
+    proxy.shutdown()
+    proxy.server_close()
+
+
+def test_http_backend_tunnels_through_the_environment_proxy(
+    stub_server, http_backend, connect_proxy, monkeypatch
+):
+    for name in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    port = connect_proxy.server_address[1]
+    monkeypatch.setenv("http_proxy", f"user:p%40ss@127.0.0.1:{port}")  # read as http://
+    assert http_backend(stub_server).complete(_request("proxied")).content == "live reply"
+    (connect,) = connect_proxy.connects
+    assert connect[0].startswith(f"CONNECT {stub_server.removeprefix('http://')} HTTP/")
+    assert "Proxy-Authorization: Basic dXNlcjpwQHNz\r\n" in connect  # user:p@ss
+
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    assert http_backend(stub_server).complete(_request("direct")).content == "live reply"
+    assert len(connect_proxy.connects) == 1 and len(_StubHandler.seen) == 2
+
+
+def test_https_connection_verifies_certificate_and_hostname(monkeypatch):
+    for name in ("https_proxy", "HTTPS_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    with closing(HttpBackend(BackendConfig(base_url="https://api.example.com", api_key="k"))) \
+            as backend:
+        conn = backend._connect(*backend._address)  # not opened: no network
+    assert isinstance(conn, http.client.HTTPSConnection)
+    assert (conn.host, conn.port) == ("api.example.com", 443)
+    assert conn._context.check_hostname
+    assert conn._context.verify_mode == ssl.CERT_REQUIRED
+
+
+def test_importing_the_package_loads_no_third_party_http_client():
+    code = (
+        "import sys, mpe, mpe.pipeline, mpe.cli; "
+        "print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    )
+    src = os.path.dirname(os.path.dirname(gateway.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -680,6 +680,32 @@ def test_up_to_date_live_run_skips_without_an_api_key(small_config, tmp_path, mo
     assert _ran(run_pipeline(config, STAGES)) == set()
 
 
+def test_run_stage_closes_each_backend_it_builds(small_config, tmp_path, monkeypatch):
+    closed = []
+
+    class Closing(HeuristicBackend):
+        def close(self):
+            closed.append(self)
+
+    class Refusing(ScriptedBackend):
+        def close(self):
+            closed.append(self)
+
+    stages = ("ingest", "format_events", "decompose", "predict")
+    monkeypatch.setattr(pipeline, "build_backend", lambda config: Closing())
+    config = _fresh(small_config, tmp_path / "built")
+    assert _ran(run_pipeline(config, stages)) == set(stages)
+    assert len(closed) == len({id(b) for b in closed}) == 2  # format_events, predict
+    assert _ran(run_pipeline(config, stages)) == set()  # builds nothing
+    run_pipeline(_fresh(small_config, tmp_path / "given"), stages, Closing())
+    assert len(closed) == 2  # a given backend is the caller's to close
+
+    monkeypatch.setattr(pipeline, "build_backend", lambda config: Refusing({}))
+    with pytest.raises(MissingScriptError):
+        run_pipeline(_fresh(small_config, tmp_path / "refused"), stages)
+    assert len(closed) == 3 and isinstance(closed[-1], Refusing)
+
+
 def test_cache_dir_and_concurrency_changes_skip_every_stage(small_config, tmp_path):
     config = _fresh(small_config, tmp_path)
     run_pipeline(config)
