@@ -201,42 +201,51 @@ class GbdtModel:
         return len(self.trees)
 
 
-def _best_split(Xt, residuals, ids, order, min_leaf):
+def _best_split(Xt, residuals, ids, block, min_leaf):
     """Exact greedy variance-reduction split, all features in one pass.
 
-    ``ids`` holds the node's rows in ascending order and ``order[f]`` the
-    same rows sorted by feature f, ties in ascending row order. Split SSE
+    ``ids`` holds the node's rows in ascending order, and ``block`` is
+    (features, order): ascending feature ids, and ``order[i]`` the same rows
+    sorted by feature ``features[i]``, ties in ascending row order. Split SSE
     decomposes as sum(r^2) minus the "explained" term L^2/n_L + R^2/n_R, so
     maximizing the latter minimizes the former. Candidates are midpoints
     between distinct consecutive values with at least ``min_leaf`` rows on
-    each side. Ties break toward the lowest threshold within a feature;
-    across features, in ascending order, a later feature wins only if it
-    explains more than 1e-12 beyond the best so far. Returns
-    (feature, threshold), or None when no split beats the leaf.
+    each side. A feature with no candidate is dropped from the block: a
+    child's boundaries are its parent's with no more rows on either side,
+    so it has none below either. Ties break toward the lowest threshold
+    within a feature; across features, in ascending order, a later feature
+    wins only if it explains more than 1e-12 beyond the best so far. Returns
+    (feature, threshold, kept block), or None when no split beats the leaf.
     """
+    features, order = block
     n = ids.size
+    window = slice(min_leaf - 1, n - min_leaf)  # sorted position before a boundary
+    values = Xt[features[:, None], order]
+    ties = values[:, window] == values[:, min_leaf:n - min_leaf + 1]
+    kept = ~ties.all(axis=1)
+    features, order, ties = features[kept], order[kept], ties[kept]
+    if features.size == 0:
+        return None
     total = residuals[ids].sum()
     no_split = total * total / n
     k = np.arange(min_leaf, n - min_leaf + 1)  # rows left of each boundary
-    window = slice(min_leaf - 1, n - min_leaf)  # sorted position before it
     left_sum = np.cumsum(residuals[order], axis=1)[:, window]
     right_sum = total - left_sum
     explained = left_sum**2 / k + right_sum**2 / (n - k)
-    features = np.arange(order.shape[0])
-    values = Xt[features[:, None], order]
-    explained[values[:, window] == values[:, min_leaf:n - min_leaf + 1]] = -np.inf
+    explained[ties] = -np.inf
     at = np.argmax(explained, axis=1)  # first max: lowest threshold wins ties
-    gains = explained[features, at]
+    gains = explained[np.arange(features.size), at]
     best = None
     gain_over = no_split
-    for feature in np.flatnonzero(gains > no_split + 1e-12):
-        if gains[feature] > gain_over + 1e-12:
-            gain_over = gains[feature]
-            best = int(feature)
+    for i in np.flatnonzero(gains > no_split + 1e-12):
+        if gains[i] > gain_over + 1e-12:
+            gain_over = gains[i]
+            best = i
     if best is None:
         return None
-    pos = k[at[best]]
-    return best, _threshold(float(values[best, pos - 1]), float(values[best, pos]))
+    feature, pos = int(features[best]), k[at[best]]
+    lower, upper = Xt[feature, order[best, pos - 1:pos + 1]]
+    return feature, _threshold(float(lower), float(upper)), (features, order)
 
 
 def _threshold(a: float, b: float) -> float:
@@ -250,36 +259,36 @@ def _splittable(n, depth, params):
     return depth < params.max_depth and n >= 2 * params.min_leaf
 
 
-def _build_tree(Xt, residuals, out, ids, order, depth, params):
+def _build_tree(Xt, residuals, out, ids, block, depth, params):
     """Grow the subtree over ``ids`` and write each row's leaf value to ``out``.
 
-    ``order`` is the node's (features, rows) block of presorted row ids, or
-    None when the node cannot split. A stable sort of ascending ids equals
-    the presort restricted to them, so children inherit their blocks by
-    stable filtering and nothing is sorted again.
+    ``block`` is the node's (features, presorted row ids) pair (see
+    `_best_split`), or None when the node cannot split. A stable sort of
+    ascending ids equals the presort restricted to them, so children inherit
+    the split's kept block by stable filtering and nothing is sorted again.
     """
     split = None
-    if order is not None:
-        split = _best_split(Xt, residuals, ids, order, params.min_leaf)
+    if block is not None:
+        split = _best_split(Xt, residuals, ids, block, params.min_leaf)
     if split is None:
         value = float(residuals[ids].mean())
         out[ids] = value
         return {"value": value}
-    feature, threshold = split
+    feature, threshold, (features, order) = split
     goes_left = Xt[feature, ids] <= threshold
     left_ids = ids[goes_left]
     right_ids = ids[~goes_left]
-    left_order = right_order = None
+    left_block = right_block = None
     if depth + 1 < params.max_depth:
         in_left = np.zeros(residuals.size, dtype=bool)
         in_left[left_ids] = True
         flags = in_left[order]
         if _splittable(left_ids.size, depth + 1, params):
-            left_order = order[flags].reshape(order.shape[0], -1)
+            left_block = features, order[flags].reshape(features.size, -1)
         if _splittable(right_ids.size, depth + 1, params):
-            right_order = order[~flags].reshape(order.shape[0], -1)
-    left = _build_tree(Xt, residuals, out, left_ids, left_order, depth + 1, params)
-    right = _build_tree(Xt, residuals, out, right_ids, right_order, depth + 1, params)
+            right_block = features, order[~flags].reshape(features.size, -1)
+    left = _build_tree(Xt, residuals, out, left_ids, left_block, depth + 1, params)
+    right = _build_tree(Xt, residuals, out, right_ids, right_block, depth + 1, params)
     return {"feature": feature, "threshold": threshold, "left": left, "right": right}
 
 
@@ -309,9 +318,9 @@ def fit_gbdt(X, y, params: GbdtParams = GbdtParams()) -> GbdtModel:
     y = y[order]
     Xt = np.ascontiguousarray(X.T)
     ids = np.arange(n)
-    presorted = np.argsort(Xt, axis=1, kind="stable")
-    if not _splittable(n, 0, params):
-        presorted = None
+    root = None
+    if _splittable(n, 0, params):
+        root = np.arange(X.shape[1]), np.argsort(Xt, axis=1, kind="stable")
 
     base = float(y.mean())
     residuals = y - base
@@ -319,7 +328,7 @@ def fit_gbdt(X, y, params: GbdtParams = GbdtParams()) -> GbdtModel:
     prev_mse = float((residuals ** 2).mean())
     for _ in range(params.n_trees):
         outputs = np.empty(n)
-        tree = _build_tree(Xt, residuals, outputs, ids, presorted, 0, params)
+        tree = _build_tree(Xt, residuals, outputs, ids, root, 0, params)
         residuals = residuals - params.learning_rate * outputs
         mse = float((residuals ** 2).mean())
         assert mse <= prev_mse + 1e-9, "training MSE increased during boosting"

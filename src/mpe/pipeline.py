@@ -16,6 +16,8 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import resource
+import threading
 import time
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, timezone
@@ -650,13 +652,16 @@ def _fit_classical(
     y_in = np.array([float(f.inflow) for f in y])
 
     fits = {}
-    params = {"linear": config.linear_ridge_lambda, "gbdt": config.gbdt}
+    # The GBDTs fit before the ridge: a solve leaves OpenBLAS threads
+    # spinning for a while, and they would take CPU from the GBDT workers.
+    gbdt_models = _fit_gbdts(config, X_train, (y_out, y_in)) if "gbdt" in kinds else ()
     for kind in kinds:
-        fit = fit_linear if kind == "linear" else fit_gbdt
-        models = (fit(X_train, y_out, params[kind]), fit(X_train, y_in, params[kind]))
         if kind == "gbdt":  # one call scores every test row
+            models = gbdt_models
             outs, ins = (predict_gbdt(m, X_test).tolist() for m in models)
         else:
+            lam = config.linear_ridge_lambda
+            models = (fit_linear(X_train, y_out, lam), fit_linear(X_train, y_in, lam))
             outs, ins = ([predict_linear(m, x) for x in X_test] for m in models)
         records = []
         for target, pred_out, pred_in in zip(test_targets, outs, ins):
@@ -669,6 +674,25 @@ def _fit_classical(
             ))
         fits[kind] = _ClassicalFit(records, models)
     return fits
+
+
+def _fit_gbdts(config: PipelineConfig, X: np.ndarray, targets: Sequence[np.ndarray]) -> tuple:
+    """`fit_gbdt` of `X` on each of `targets`, in order.
+
+    The fits run side by side on `fork`ed workers, up to `concurrency` and
+    the usable CPUs; a spawned worker would import numpy again, about the
+    cost of a fit. With fewer than two workers, or with another live thread
+    (a lock it holds would stay held in the child), they run here in
+    series. The pool joins its workers on exit, after a failed fit too.
+    """
+    workers = min(config.concurrency, len(targets), len(os.sched_getaffinity(0)))
+    if workers < 2 or threading.active_count() != 1:
+        return tuple(fit_gbdt(X, y, config.gbdt) for y in targets)
+    import multiprocessing  # only a run that forks pays for the import
+    context = multiprocessing.get_context("fork")
+    with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
+        futures = [pool.submit(fit_gbdt, X, y, config.gbdt) for y in targets]
+        return tuple(future.result() for future in futures)
 
 
 def _classical_ablation(ablation: AblationConfig) -> AblationConfig:
@@ -1002,6 +1026,19 @@ def plan_stage(stage: str, config: PipelineConfig) -> dict:
     }
 
 
+def _telemetry(wall: float, cpu: float, children) -> dict:
+    """Wall and CPU seconds since the given readings, to the microsecond and with
+    waited-for children's CPU, and the peak RSS of this process and of them."""
+    now = resource.getrusage(resource.RUSAGE_CHILDREN)
+    child_cpu = now.ru_utime - children.ru_utime + now.ru_stime - children.ru_stime
+    return {
+        "wall_s": round(time.perf_counter() - wall, 6),
+        "cpu_s": round(time.process_time() - cpu + child_cpu, 6),
+        "max_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        "children_max_rss_kb": now.ru_maxrss,
+    }
+
+
 def run_stage(
     stage: str,
     config: PipelineConfig,
@@ -1019,6 +1056,7 @@ def run_stage(
             save_manifest(config, manifest)
         return StageResult(stage, True, manifest["stages"][stage].get("stats", {}))
 
+    started = time.perf_counter(), time.process_time(), resource.getrusage(resource.RUSAGE_CHILDREN)
     built = stage_def.needs_backend and backend is None
     if built:
         backend = build_backend(config)
@@ -1034,6 +1072,7 @@ def run_stage(
         **state,
         "outputs": _output_digests(stage, config, digest),
         "stats": stats,
+        **_telemetry(*started),
         "completed_at": datetime.now(timezone.utc).isoformat(),
     }
     save_manifest(config, manifest)

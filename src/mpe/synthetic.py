@@ -21,7 +21,6 @@ import numpy as np
 from .config import encode
 from .events import EventRecord, serialize_event_records
 from .geo import GeoPoint
-from .ioutil import read_csv
 from .trips import DateRange, VenueConfig
 
 SYNTH_VENUE = VenueConfig(
@@ -254,20 +253,6 @@ def write_truth_csv(dataset: SyntheticDataset, path) -> None:
                 day.date.isoformat(), day.outflow, day.inflow,
                 day.base_out, day.base_in, "|".join(day.categories),
             ])
-
-
-def read_truth_csv(path) -> list[TruthDay]:
-    return [
-        TruthDay(
-            date=date.fromisoformat(r["date"]),
-            outflow=int(r["outflow"]),
-            inflow=int(r["inflow"]),
-            base_out=int(r["base_out"]),
-            base_in=int(r["base_in"]),
-            categories=tuple(c for c in r["categories"].split("|") if c),
-        )
-        for r in read_csv(path)
-    ]
 
 
 def generate_files(

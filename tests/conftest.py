@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 import sys
 import time
 from datetime import date
@@ -49,3 +51,19 @@ def small_dataset_dir(tmp_path_factory) -> Path:
 @pytest.fixture(scope="session")
 def small_config(small_dataset_dir) -> PipelineConfig:
     return PipelineConfig.from_file(small_dataset_dir / "config.json")
+
+
+@pytest.fixture
+def pools(monkeypatch) -> list:
+    """The arguments of each process pool made, with two CPUs usable
+    whatever the host has."""
+    made = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return made

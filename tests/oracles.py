@@ -20,6 +20,7 @@ import numpy as np
 from mpe.baselines import GbdtModel, GbdtParams
 from mpe.errors import SchemaError
 from mpe.geo import GeoPoint
+from mpe.synthetic import TruthDay
 from mpe.trips import REQUIRED_COLUMNS, RejectionNote, TripRecord
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -359,3 +360,19 @@ def reference_fit_gbdt(X, y, params=GbdtParams()):
         base_prediction=base,
         n_features=X.shape[1],
     )
+
+
+def read_truth_csv(path):
+    """The planted per-day truth that `mpe synth` writes beside its inputs."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [
+            TruthDay(
+                date=date.fromisoformat(r["date"]),
+                outflow=int(r["outflow"]),
+                inflow=int(r["inflow"]),
+                base_out=int(r["base_out"]),
+                base_in=int(r["base_in"]),
+                categories=tuple(c for c in r["categories"].split("|") if c),
+            )
+            for r in csv.DictReader(fh)
+        ]

@@ -44,7 +44,7 @@ from mpe.prompts import (
     build_event_format_prompt,
     build_prediction_prompt,
 )
-from mpe.synthetic import generate_files, read_truth_csv
+from mpe.synthetic import generate_files
 from mpe.trips import (
     DailyDemand,
     DateRange,
@@ -284,7 +284,7 @@ def planted_two_year(tmp_path_factory):
 
 def test_criterion_6_planted_effect_experiment(planted_two_year):
     with criterion(6, "planted-effect ablation experiment", 120.0):
-        truth = read_truth_csv(planted_two_year / "truth.csv")
+        truth = oracles.read_truth_csv(planted_two_year / "truth.csv")
         rows = [(t.date, t.outflow, t.inflow, t.base_out, t.base_in, t.categories)
                 for t in truth]
         mae_blind, mae_informed = oracles.planted_effect_bounds(rows)

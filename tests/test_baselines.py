@@ -1,10 +1,15 @@
 """Featurizer, ridge/OLS, and the from-scratch boosted trees."""
 
+import concurrent.futures
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
+import threading
 import warnings
 from datetime import date, time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ from mpe.baselines import (
     save_model,
 )
 from mpe.events import DayEvents, EventRecord
+from mpe.pipeline import _fit_gbdts
 from mpe.prompts import AblationConfig, DemandFeatures, EventFeatures
 
 from oracles import (
@@ -519,15 +525,171 @@ def _pipeline_shaped_cases():
     yield X, y, GbdtParams()
 
 
+def _edge_only_cases():
+    """Columns whose distinct values lie only within min_leaf - 1 rows of
+    either end, so no boundary has min_leaf rows on both sides."""
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        n, min_leaf = int(rng.integers(16, 40)), int(rng.integers(2, 6))
+        X = rng.normal(size=(n, 5))
+        for j in (0, 2, 4):
+            rows = rng.permutation(n)[:2 * (min_leaf - 1)]
+            X[:, j] = 0.0
+            X[rows[:min_leaf - 1], j] = 10.0 + rng.random(min_leaf - 1)
+            X[rows[min_leaf - 1:], j] = -10.0 - rng.random(min_leaf - 1)
+        yield X, rng.normal(size=n), GbdtParams(
+            n_trees=10, max_depth=3, learning_rate=0.3, min_leaf=min_leaf,
+        )
+
+
+def _constant_in_one_child_cases():
+    """Column 0 splits the root; column 1 is constant on its left side only,
+    column 2 on its right side only."""
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        n = int(rng.integers(20, 60))
+        side = rng.permutation(np.arange(n) % 2).astype(float)
+        left = side == 0
+        X = np.column_stack([
+            side,
+            np.where(left, 3.0, rng.integers(0, 4, size=n)),
+            np.where(left, rng.integers(0, 4, size=n), -1.0),
+            rng.normal(size=n),
+        ])
+        y = 50.0 * side + X[:, 1] + X[:, 2] + rng.normal(size=n)
+        yield X, y, GbdtParams(n_trees=10, max_depth=3, learning_rate=0.5, min_leaf=2)
+
+
+def _all_constant_cases():
+    yield np.full((12, 3), 2.5), np.arange(12.0), GbdtParams(n_trees=3, min_leaf=2)
+
+
+def _min_leaf_one_cases():
+    """Constant columns beside columns whose only boundary is one row from
+    the low end (column 2) or from the high end (column 3)."""
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        n = int(rng.integers(4, 30))
+        X = np.zeros((n, 5))
+        X[:, 1] = 7.0
+        X[int(rng.integers(n)), 2] = -1.0
+        X[int(rng.integers(n)), 3] = 1.0
+        X[:, 4] = rng.integers(0, 3, size=n)
+        yield X, rng.normal(size=n), GbdtParams(
+            n_trees=8, max_depth=3, learning_rate=1.0, min_leaf=1,
+        )
+
+
 @pytest.mark.parametrize("cases", [
-    _criterion7_cases, _tie_heavy_cases, _pipeline_shaped_cases,
-], ids=["criterion7_random", "tie_heavy", "pipeline_shaped"])
+    _criterion7_cases, _tie_heavy_cases, _pipeline_shaped_cases, _edge_only_cases,
+    _constant_in_one_child_cases, _all_constant_cases, _min_leaf_one_cases,
+], ids=[
+    "criterion7_random", "tie_heavy", "pipeline_shaped", "edge_only",
+    "constant_in_one_child", "all_constant", "min_leaf_one",
+])
 def test_presorted_trees_match_reference_builder(cases):
     for i, (X, y, params) in enumerate(cases()):
         model = fit_gbdt(X, y, params)
         reference = reference_fit_gbdt(X, y, params)
         assert model.base_prediction == reference.base_prediction, f"case {i}"
         assert model.trees == reference.trees, f"case {i}"
+
+
+# --- GBDT fits on worker processes ------------------------------------------------
+
+
+POOL_PARAMS = GbdtParams(n_trees=15, max_depth=3, learning_rate=0.3, min_leaf=3)
+
+
+def _pool_inputs():
+    rng = np.random.default_rng(59)
+    X = np.round(rng.normal(size=(90, 6)), 1)
+    return X, (X[:, 0] * 3 + rng.normal(size=90), np.abs(X[:, 1]) + rng.normal(size=90))
+
+
+def _fit_config(concurrency: int) -> SimpleNamespace:
+    return SimpleNamespace(concurrency=concurrency, gbdt=POOL_PARAMS)
+
+
+def test_worker_fits_equal_series_fits_and_the_reference(pools):
+    X, targets = _pool_inputs()
+    on_workers = _fit_gbdts(_fit_config(2), X, targets)
+    assert len(pools) == 1
+    in_series = _fit_gbdts(_fit_config(1), X, targets)
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
+    for worker, series, y in zip(on_workers, in_series, targets):
+        reference = reference_fit_gbdt(X, y, POOL_PARAMS)
+        assert worker == series
+        assert worker.trees == reference.trees
+        assert worker.base_prediction == reference.base_prediction
+
+
+FORK_AFTER_SOLVE = """
+import json, os, sys
+from types import SimpleNamespace
+import numpy as np
+from mpe.baselines import GbdtParams
+from mpe.pipeline import _fit_gbdts
+os.sched_getaffinity = lambda pid: {0, 1}  # fork on any host
+a = np.random.default_rng(61).normal(size=(200, 200))
+np.linalg.solve(a @ a.T + 200 * np.eye(200), np.ones(200))  # wakes the BLAS threads
+data = json.load(sys.stdin)
+params = GbdtParams(**data["params"])
+models = _fit_gbdts(
+    SimpleNamespace(concurrency=2, gbdt=params), np.array(data["X"]),
+    [np.array(y) for y in data["targets"]],
+)
+assert "concurrent.futures.process" in sys.modules
+print(json.dumps([model.trees for model in models]))
+"""
+
+
+def test_workers_forked_after_a_blas_solve_finish_and_fit_equal_trees():
+    X, targets = _pool_inputs()
+    data = {
+        "X": X.tolist(), "targets": [y.tolist() for y in targets],
+        "params": vars(POOL_PARAMS),
+    }
+    out = subprocess.run(
+        [sys.executable, "-c", FORK_AFTER_SOLVE], input=json.dumps(data),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    local = [list(fit_gbdt(X, y, POOL_PARAMS).trees) for y in targets]
+    assert json.loads(out.stdout) == json.loads(json.dumps(local))
+
+
+@pytest.mark.parametrize("case", ["concurrency_1", "second_thread", "one_cpu", "one_fit"])
+def test_fits_run_in_series_without_two_workers_or_with_a_live_thread(monkeypatch, case):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was made")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if case == "one_cpu" else {0, 1})
+    X, targets = _pool_inputs()
+    targets = targets[:1] if case == "one_fit" else targets
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if case == "second_thread":
+        thread.start()
+    try:
+        models = _fit_gbdts(_fit_config(1 if case == "concurrency_1" else 2), X, targets)
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert models == tuple(fit_gbdt(X, y, POOL_PARAMS) for y in targets)
+
+
+def test_a_fit_failing_on_a_worker_raises_its_type_and_leaves_no_worker(pools):
+    X, (y, _) = _pool_inputs()
+    bad = y.copy()
+    bad[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        _fit_gbdts(_fit_config(2), X, (y, bad))
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
 
 
 # --- layer micro-benchmark ----------------------------------------------------------

@@ -310,6 +310,27 @@ def test_artifacts_match_golden_digests(pipeline_run):
     assert digests == json.loads(GOLDEN_DIGESTS.read_text())
 
 
+@pytest.mark.parametrize("concurrency", [1, 2])
+def test_evaluate_writes_the_same_bytes_with_gbdt_workers_or_without(
+    pipeline_run, tmp_path, pools, concurrency
+):
+    config, _ = pipeline_run
+    copy = replace(config, output_dir=tmp_path / "out", concurrency=concurrency)
+    shutil.copytree(config.output_dir, copy.output_dir)
+    (copy.output_dir / "manifest.json").unlink()
+    for name in _STAGE_DEFS["evaluate"].writes:
+        artifact_path(copy, name).unlink()
+    assert not run_stage("evaluate", copy).skipped
+    assert len(pools) == (concurrency > 1)
+    for name in _STAGE_DEFS["evaluate"].writes:
+        assert artifact_path(copy, name).read_bytes() == \
+            artifact_path(config, name).read_bytes(), name
+    golden = json.loads(GOLDEN_DIGESTS.read_text())
+    for name in ("predictions_gbdt", "model_gbdt_out", "model_gbdt_in"):
+        digest = hashlib.sha256(artifact_path(copy, name).read_bytes()).hexdigest()
+        assert digest == golden[ARTIFACTS[name]], name
+
+
 def test_classical_models_persisted(pipeline_run):
     config, _ = pipeline_run
     for name in ("gbdt_out.json", "gbdt_in.json", "linear_out.json", "linear_in.json"):
@@ -350,7 +371,7 @@ def test_ingest_rejects_recorded(pipeline_run):
 
 def test_ingested_demand_matches_planted_truth(pipeline_run, small_dataset_dir):
     config, _ = pipeline_run
-    from mpe.synthetic import read_truth_csv
+    from oracles import read_truth_csv
     from mpe.trips import read_daily_demand_csv
 
     truth = {t.date: t for t in read_truth_csv(small_dataset_dir / "truth.csv")}
@@ -1307,3 +1328,36 @@ def test_input_edited_during_its_stage_is_not_recorded(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert not run_stage("ingest", config).skipped
     assert _pickups(config) == 0
+
+
+TELEMETRY_FIELDS = ("wall_s", "cpu_s", "max_rss_kb", "children_max_rss_kb")
+
+
+def test_stage_telemetry_sits_beside_stats_and_no_skip_reads_or_rewrites_it(
+    small_config, tmp_path, short_margin
+):
+    config = _fresh(small_config, tmp_path)
+    run_pipeline(config, STAGES)
+    entries = load_manifest(config)["stages"]
+    assert set(entries) == set(STAGES)
+    for stage, entry in entries.items():
+        for field in TELEMETRY_FIELDS:
+            assert isinstance(entry[field], (int, float)) and entry[field] >= 0, (stage, field)
+            assert field not in entry["stats"], (stage, field)
+        assert entry["max_rss_kb"] > 0
+    short_margin()
+    assert _ran(run_pipeline(config, STAGES)) == set()  # records the aged outputs
+    manifest = config.output_dir / "manifest.json"
+    written = manifest.read_bytes()
+    assert _ran(run_pipeline(config, STAGES)) == set()
+    assert manifest.read_bytes() == written
+    after = load_manifest(config)["stages"]
+    assert {s: [e[f] for f in TELEMETRY_FIELDS] for s, e in after.items()} == \
+        {s: [e[f] for f in TELEMETRY_FIELDS] for s, e in entries.items()}
+
+    doc = json.loads(written)
+    for entry in doc["stages"].values():
+        entry.update(wall_s=-1.0, cpu_s=None, max_rss_kb="x")
+        del entry["children_max_rss_kb"]
+    manifest.write_text(json.dumps(doc))
+    assert _ran(run_pipeline(config, STAGES)) == set()
