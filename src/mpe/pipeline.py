@@ -245,10 +245,16 @@ def load_manifest(config: PipelineConfig) -> dict:
 
 
 def save_manifest(config: PipelineConfig, manifest: dict) -> None:
+    """Remove the old manifest, then write the new one atomically. A rename
+    over an existing file makes ext4 (`auto_da_alloc`) write the new file's
+    blocks at once, and freeing on-disk blocks can block for tens of ms, so a
+    rename that lands on no file keeps each save cheap. A reader sees the old
+    manifest, none (every stage re-runs), or the whole new one."""
     manifest["backend"] = config.backend_kind
-    atomic_write_text(
-        _manifest_path(config), json.dumps(manifest, indent=2, sort_keys=True)
-    )
+    text = json.dumps(manifest, indent=2, sort_keys=True)
+    path = _manifest_path(config)
+    path.unlink(missing_ok=True)
+    atomic_write_text(path, text)
 
 
 class StageResult(NamedTuple):

@@ -1,6 +1,7 @@
 """Orchestration: config, stage dependencies, prediction flow, manifest."""
 
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -15,7 +16,7 @@ from time import sleep, time_ns
 
 import pytest
 
-from mpe import gateway, pipeline, prompts
+from mpe import gateway, ioutil, pipeline, prompts
 from mpe.baselines import GbdtParams
 from mpe.config import encode
 from mpe.decomposition import BaselineConfig
@@ -735,6 +736,73 @@ def test_cache_dir_and_concurrency_changes_skip_every_stage(small_config, tmp_pa
         replace(config, concurrency=1),
     ):
         assert _ran(run_pipeline(changed)) == set()
+
+
+# --- manifest saves ---------------------------------------------------------------------
+
+
+@pytest.fixture
+def renames(monkeypatch):
+    """`(destination, whether it existed)` for each rename made through mpe.ioutil."""
+    seen: list[tuple[Path, bool]] = []
+    real = ioutil.os.replace
+
+    def recording(src, dst):
+        seen.append((Path(dst), os.path.exists(dst)))
+        return real(src, dst)
+
+    monkeypatch.setattr(ioutil.os, "replace", recording)
+    return seen
+
+
+def _dotfiles(config: PipelineConfig) -> list[str]:
+    return sorted(p.name for p in config.output_dir.rglob(".*"))
+
+
+def test_manifest_saves_rename_onto_no_file(small_config, tmp_path, renames, short_margin):
+    """A rename over an old manifest would make ext4 write it out, and the
+    next save would then wait to free its blocks."""
+    config = _fresh(small_config, tmp_path)
+    for stage in STAGES:
+        assert not run_stage(stage, config).skipped
+        assert _dotfiles(config) == []
+    short_margin()  # each skip below records its stage's outputs and saves
+    assert _ran(run_pipeline(config, STAGES)) == set()
+    saves = [existed for dst, existed in renames if dst.name == "manifest.json"]
+    assert len(saves) > len(STAGES) and not any(saves)
+    assert _dotfiles(config) == []
+
+    (tmp_path / "empty").mkdir()
+    for output_dir in (tmp_path / "empty", tmp_path / "absent"):
+        elsewhere = replace(config, output_dir=output_dir)
+        pipeline.save_manifest(elsewhere, load_manifest(config))
+        assert load_manifest(elsewhere) == load_manifest(config)
+
+
+def test_failed_manifest_save_reruns_every_stage_to_the_same_bytes(
+    small_config, tmp_path, monkeypatch
+):
+    config = _fresh(small_config, tmp_path)
+    run_pipeline(config, STAGES)
+    written = [artifact_path(config, n) for s in STAGES for n in _STAGE_DEFS[s].writes]
+    first = {path: path.read_bytes() for path in written}
+    real = ioutil.os.replace
+
+    def full_disk(src, dst):
+        if Path(dst).name == "manifest.json":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(src, dst)
+
+    monkeypatch.setattr(ioutil.os, "replace", full_disk)
+    artifact_path(config, "summary").unlink()  # so report re-runs, and its save fails
+    with pytest.raises(OSError):
+        run_stage("report", config)
+    assert not (config.output_dir / "manifest.json").exists()
+    assert _dotfiles(config) == []
+    monkeypatch.undo()
+
+    assert _ran(run_pipeline(config, STAGES)) == set(STAGES)
+    assert {path: path.read_bytes() for path in written} == first
 
 
 @pytest.fixture(scope="module")
