@@ -50,7 +50,7 @@ def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
 def _add_stage_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="pipeline config JSON")
     parser.add_argument("--output-dir", help="override the configured output directory")
-    parser.add_argument("--backend", choices=BACKEND_KINDS, help="override the backend kind")
+    parser.add_argument("--backend", metavar="|".join(BACKEND_KINDS), help="override the kind")
     parser.add_argument("--mock-script", help="reply script for the mock backend")
     parser.add_argument("--cache-dir", help="override the response cache directory")
     parser.add_argument("--ablation", help="ablation name, e.g. c_t_h_prime/r_i or na")

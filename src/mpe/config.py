@@ -23,7 +23,7 @@ from .ioutil import read_text
 from .prompts import DEFAULT_TEMPLATES, AblationConfig, PromptTemplates, load_templates
 from .trips import DateRange, VenueConfig
 
-BACKEND_KINDS = ("live", "mock", "cache", "heuristic")
+BACKEND_KINDS = ("live", "mock", "heuristic")
 LLM_MODEL_NAME = "llm"
 
 
@@ -61,7 +61,8 @@ class PipelineConfig:
         if self.train_range.end >= self.test_range.start:
             raise ConfigError("train_range must end before test_range begins")
         if self.backend_kind not in BACKEND_KINDS:
-            raise ConfigError(f"backend kind must be one of {BACKEND_KINDS}")
+            raise ConfigError(f"backend kind must be one of {BACKEND_KINDS}, not "
+                              f"{self.backend_kind!r}; 'live' keeps its replies under cache_dir")
         if self.concurrency < 1:
             raise ConfigError("concurrency must be >= 1")
         if not (0.0 <= self.fallback_budget <= 1.0):

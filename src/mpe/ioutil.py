@@ -1,6 +1,6 @@
 """The one place that reads and writes text: UTF-8 whatever the locale, CSV
-in csv.writer's default dialect both ways, and every artifact and cache
-entry written to a temp file, then renamed."""
+in csv.writer's default dialect both ways, and every artifact, cache entry
+and manifest written to a temp file, then renamed onto no file."""
 
 from __future__ import annotations
 
@@ -14,7 +14,8 @@ from typing import Iterable, Sequence
 
 def atomic_write_bytes(path, data: bytes) -> None:
     """Write `data` to `path` through a temp name unique to this process and
-    thread, then rename it over `path`; the file has mode 0600. A missing
+    thread, remove `path`, then rename the temp file onto no file, which ext4
+    (`auto_da_alloc`) does not force to disk; the file has mode 0600. A missing
     parent directory is made, and the write tried once more."""
     path = Path(path)
     tmp = path.parent / f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
@@ -30,6 +31,10 @@ def atomic_write_bytes(path, data: bytes) -> None:
                 view = view[os.write(fd, view):]
         finally:
             os.close(fd)
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -118,23 +118,20 @@ EVENT_REMINDER = f"Reminder: reply in exactly this form: {REPLY_FORM_EVENT}"
 
 
 def build_backend(config: PipelineConfig) -> ChatBackend:
-    """live -> HTTP; cache -> cache over HTTP; mock -> scripted file;
-    heuristic -> rule-based responder. Any kind gains the cache overlay when
-    cache_dir is set."""
-    kind = config.backend_kind
-    if kind in ("live", "cache"):
+    """live -> HTTP behind the response store, under cache_dir or else
+    <output_dir>/responses; mock -> scripted file; heuristic -> rule-based
+    responder. These two are behind the store only when cache_dir is set."""
+    store = config.cache_dir
+    if config.backend_kind == "live":
         inner: ChatBackend = HttpBackend(config.backend)
-    elif kind == "mock":
+        store = store or config.output_dir / "responses"
+    elif config.backend_kind == "mock":
         if config.mock_script is None:
             raise ConfigError("backend kind 'mock' requires mock_script")
         inner = ScriptedBackend.from_file(config.mock_script)
     else:
         inner = HeuristicBackend()
-    if kind == "cache" and config.cache_dir is None:
-        raise ConfigError("backend kind 'cache' requires cache_dir")
-    if config.cache_dir is not None:
-        return CachingBackend(inner, config.cache_dir)
-    return inner
+    return inner if store is None else CachingBackend(inner, store)
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +242,9 @@ def load_manifest(config: PipelineConfig) -> dict:
 
 
 def save_manifest(config: PipelineConfig, manifest: dict) -> None:
-    """Remove the old manifest, then write the new one atomically. A rename
-    over an existing file makes ext4 (`auto_da_alloc`) write the new file's
-    blocks at once, and freeing on-disk blocks can block for tens of ms, so a
-    rename that lands on no file keeps each save cheap. A reader sees the old
-    manifest, none (every stage re-runs), or the whole new one."""
+    """Write the manifest atomically; no manifest reads as no stage recorded."""
     manifest["backend"] = config.backend_kind
-    text = json.dumps(manifest, indent=2, sort_keys=True)
-    path = _manifest_path(config)
-    path.unlink(missing_ok=True)
-    atomic_write_text(path, text)
+    atomic_write_text(_manifest_path(config), json.dumps(manifest, indent=2, sort_keys=True))
 
 
 class StageResult(NamedTuple):
@@ -559,10 +549,9 @@ def _decompose_days(
 
 
 def _backend_call_count(backend: ChatBackend) -> int | None:
-    """Calls that reached the model: cache misses, or the backend's own count."""
-    if isinstance(backend, CachingBackend):
-        return backend.misses
-    return getattr(backend, "call_count", None)
+    """Calls that reached the model: the `call_count` of the backend an
+    overlay wraps, or else of the backend itself."""
+    return getattr(getattr(backend, "inner", backend), "call_count", None)
 
 
 def _stage_predict(config: PipelineConfig, backend: ChatBackend) -> dict:

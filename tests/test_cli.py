@@ -210,6 +210,20 @@ def test_live_base_url_without_a_scheme_exits_2_before_any_stage(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_cache_backend_kind_exits_2_before_any_stage(cli_dataset, tmp_path, capsys, where):
+    config_path = Path(_config_with_sources(cli_dataset, tmp_path))
+    flag = ["--backend", "cache"]
+    if where == "config":
+        config_path.write_text(json.dumps({**json.loads(config_path.read_text()),
+                                           "backend": {"kind": "cache"}}))
+        flag = []
+    assert main(["run", "--config", str(config_path), "--with-ablate", *flag]) == 2
+    err = capsys.readouterr().err
+    assert "not 'cache'" in err and "'live' keeps its replies under cache_dir" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_ablation_name_exits_2(cli_dataset, capsys):
     code = main([
         "ingest", "--config", str(cli_dataset / "config.json"), "--ablation", "zz",

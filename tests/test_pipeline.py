@@ -26,6 +26,7 @@ from mpe.errors import (
     MissingScriptError,
     PreconditionError,
     StageError,
+    TransportError,
 )
 from mpe.events import EventRecord, parse_event_records
 from mpe.gateway import BackendConfig, CachingBackend, ScriptedBackend
@@ -117,11 +118,14 @@ def test_mock_backend_requires_script(tmp_path):
         build_backend(config)
 
 
-def test_cache_backend_requires_cache_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("LLM_API_KEY", "k")
-    config = _minimal_config(tmp_path, backend_kind="cache")
-    with pytest.raises(ConfigError):
-        build_backend(config)
+def test_cache_backend_kind_is_rejected_naming_live_and_cache_dir(tmp_path, small_config):
+    """`cache` was `live` with a required `cache_dir`; `live` now always
+    keeps its replies."""
+    doc = dict(small_config.to_dict(), backend_kind="cache")
+    for make in (lambda: _minimal_config(tmp_path, backend_kind="cache"),
+                 lambda: PipelineConfig.from_dict(doc)):
+        with pytest.raises(ConfigError, match="'live'.*cache_dir"):
+            make()
 
 
 # --- stage dependencies -------------------------------------------------------------
@@ -702,6 +706,60 @@ def test_up_to_date_live_run_skips_without_an_api_key(small_config, tmp_path, mo
     assert _ran(run_pipeline(config, STAGES)) == set()
 
 
+@pytest.fixture
+def live_model(monkeypatch):
+    """`live` answered in process: `HttpBackend` becomes a heuristic backend
+    that records each request's digest and, once `budget` calls have been
+    answered, fails every call, as an endpoint that went away does."""
+
+    class Endpoint(HeuristicBackend):
+        budget: int | None = None
+        answered: list[str] = []
+        lock = threading.Lock()
+
+        def __init__(self, config):
+            super().__init__()
+
+        def complete(self, request):
+            with self.lock:
+                if self.budget is not None and len(self.answered) >= self.budget:
+                    raise TransportError("connection refused")
+                self.answered.append(gateway.cache_key(request))
+            return super().complete(request)
+
+    monkeypatch.setattr(pipeline, "HttpBackend", Endpoint)
+    return Endpoint
+
+
+def test_live_predict_resumes_from_the_replies_it_kept(small_config, tmp_path, live_model):
+    whole = _fresh(small_config, tmp_path / "whole", backend_kind="live")
+    run_pipeline(whole, PRE_PREDICT)
+    n = run_stage("predict", whole).stats["backend_calls"]
+
+    config = replace(whole, output_dir=tmp_path / "cut")
+    run_pipeline(config, PRE_PREDICT)
+    k = 5
+    live_model.budget = len(live_model.answered) + k
+    with pytest.raises(TransportError) as info:
+        run_stage("predict", config)
+    assert info.value.exit_code == 4
+    live_model.budget = None
+    assert run_stage("predict", config).stats["backend_calls"] == n - k
+    assert artifact_path(config, "predictions").read_bytes() == \
+        artifact_path(whole, "predictions").read_bytes()
+
+
+def test_live_ablate_asks_nothing_predict_asked(small_config, tmp_path, live_model):
+    config = _fresh(small_config, tmp_path, backend_kind="live")
+    run_pipeline(config, (*PRE_PREDICT, "predict"))
+    predicted = set(live_model.answered)
+    before = len(live_model.answered)
+    calls = run_stage("ablate", config).stats["backend_calls"]
+    asked = live_model.answered[before:]
+    assert calls == len(asked) > 0
+    assert predicted.isdisjoint(asked)
+
+
 def test_run_stage_closes_each_backend_it_builds(small_config, tmp_path, monkeypatch):
     closed = []
 
@@ -760,8 +818,8 @@ def _dotfiles(config: PipelineConfig) -> list[str]:
 
 
 def test_manifest_saves_rename_onto_no_file(small_config, tmp_path, renames, short_margin):
-    """A rename over an old manifest would make ext4 write it out, and the
-    next save would then wait to free its blocks."""
+    """A rename over an old file would make ext4 write it out, and the next
+    write of that file would then wait to free its blocks."""
     config = _fresh(small_config, tmp_path)
     for stage in STAGES:
         assert not run_stage(stage, config).skipped
@@ -770,6 +828,13 @@ def test_manifest_saves_rename_onto_no_file(small_config, tmp_path, renames, sho
     assert _ran(run_pipeline(config, STAGES)) == set()
     saves = [existed for dst, existed in renames if dst.name == "manifest.json"]
     assert len(saves) > len(STAGES) and not any(saves)
+    assert _dotfiles(config) == []
+    (config.output_dir / "manifest.json").unlink()  # a second forced cold run
+    assert _ran(run_pipeline(config, STAGES)) == set(STAGES)
+    rewritten = {dst.name for dst, _ in renames} - {"manifest.json"}
+    assert rewritten == {artifact_path(config, n).name for s in STAGES
+                         for n in _STAGE_DEFS[s].writes}
+    assert [dst for dst, existed in renames if existed] == []
     assert _dotfiles(config) == []
 
     (tmp_path / "empty").mkdir()
