@@ -20,7 +20,14 @@ from .errors import ConfigError
 from .gateway import BackendConfig
 from .geo import GeoPoint
 from .ioutil import read_text
-from .prompts import DEFAULT_TEMPLATES, AblationConfig, PromptTemplates, load_templates
+from .prompts import (
+    DEFAULT_DESCRIPTION_WORD_CAP,
+    DEFAULT_MODEL,
+    DEFAULT_TEMPLATES,
+    AblationConfig,
+    PromptTemplates,
+    load_templates,
+)
 from .trips import DateRange, VenueConfig
 
 BACKEND_KINDS = ("live", "mock", "heuristic")
@@ -37,7 +44,7 @@ class PipelineConfig:
     output_dir: Path = Path("out")
     history_days: int = 28
     baseline: BaselineConfig = BaselineConfig()
-    model: str = "gpt-4"
+    model: str = DEFAULT_MODEL
     temperature: float = 0.0
     max_tokens: int | None = None
     backend_kind: str = "mock"
@@ -47,7 +54,7 @@ class PipelineConfig:
     ablation: AblationConfig = AblationConfig()
     concurrency: int = 4
     fallback_budget: float = 1.0
-    max_description_words: int = 500
+    max_description_words: int = DEFAULT_DESCRIPTION_WORD_CAP
     template_dir: Path | None = None
     linear_ridge_lambda: float = 1.0
     gbdt: GbdtParams = GbdtParams()

@@ -129,11 +129,6 @@ def canonical_serialization(request: ChatRequest) -> str:
     return json.dumps(canonical_payload(request), separators=(",", ":"), ensure_ascii=True)
 
 
-def cache_key(request: ChatRequest) -> str:
-    """64-hex SHA-256 digest of the canonical request serialization."""
-    return request.digest
-
-
 class ChatBackend:
     """Interface: complete one chat request."""
 
@@ -310,7 +305,7 @@ class ScriptedBackend(ChatBackend):
     def complete(self, request: ChatRequest) -> ChatResponse:
         with self._lock:
             self.call_count += 1
-        digest = cache_key(request)
+        digest = request.digest
         if digest in self.script:
             return self._reply(request, self.script[digest])
         text = request.text()
@@ -368,7 +363,7 @@ class CachingBackend(ChatBackend):
         self.inner.close()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        digest = cache_key(request)
+        digest = request.digest
         path = self._path(digest)
         cached = self._load(path)
         if cached is not None:

@@ -8,7 +8,6 @@ input yields either a value or that typed error.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from datetime import date
@@ -95,16 +94,3 @@ def render_prediction_reply(pickup: int, dropoff: int, reasoning: str) -> str:
     """Canonical reply form; parse_prediction round-trips it exactly."""
     return f"[pickup] {pickup} [dropoff] {dropoff} [reasoning] {reasoning}"
 
-
-def failure_record(day: date, request_digest: str, raw_reply: str, reason: str) -> str:
-    """One parse_failures.jsonl line."""
-    return json.dumps(
-        {
-            "date": day.isoformat(),
-            "request_digest": request_digest,
-            "reason": reason,
-            "raw_reply": raw_reply,
-        },
-        sort_keys=True,
-        ensure_ascii=False,
-    )

@@ -66,7 +66,6 @@ from .gateway import (
     ChatResponse,
     HttpBackend,
     ScriptedBackend,
-    cache_key,
 )
 from .heuristic import HeuristicBackend
 from .ioutil import atomic_write_text, read_csv, read_text, write_csv
@@ -81,7 +80,6 @@ from .metrics import (
 )
 from .parsing import (
     PredictionResult,
-    failure_record,
     parse_formatted_event,
     parse_prediction,
 )
@@ -227,8 +225,7 @@ def _manifest_path(config: PipelineConfig) -> Path:
 
 def load_manifest(config: PipelineConfig) -> dict:
     """The manifest; a missing, corrupt or misshapen one reads as no stages
-    recorded, and a stage entry that is not an object as absent. An entry's
-    `"stat"` map, which manifests kept before the file table, is dropped."""
+    recorded, and a stage entry that is not an object as absent."""
     try:
         manifest = json.loads(read_text(_manifest_path(config)))
     except (OSError, ValueError):
@@ -236,8 +233,6 @@ def load_manifest(config: PipelineConfig) -> dict:
     if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
         return {"stages": {}}
     manifest["stages"] = {k: v for k, v in manifest["stages"].items() if isinstance(v, dict)}
-    for entry in manifest["stages"].values():
-        entry.pop("stat", None)
     return manifest
 
 
@@ -258,9 +253,10 @@ class StageResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _write_jsonl(path: Path, lines: Iterable[str]) -> None:
-    """One JSON document per line, each already serialised."""
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+def _write_jsonl(path: Path, docs: Iterable[dict]) -> None:
+    """One JSON document per line, keys sorted, non-ASCII kept as is."""
+    lines = (json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n" for doc in docs)
+    atomic_write_text(path, "".join(lines))
 
 
 def _write_prediction_csv(rows: Iterable[tuple], model_name: str, path: Path) -> None:
@@ -357,7 +353,7 @@ def _ask(
     failures = []
     reprompt = replace(request, messages=request.messages + (ChatMessage("user", reminder),))
     for attempt in (request, reprompt):
-        digest = cache_key(attempt)
+        digest = attempt.digest
         response = backend.complete(attempt)
         try:
             return _Reply(parse(response.content), response, digest, tuple(failures))
@@ -375,7 +371,7 @@ def _map(config: PipelineConfig, fn: Callable, items: Iterable) -> list:
 class DayPrediction(NamedTuple):
     result: PredictionResult
     fallback: bool
-    failures: tuple[str, ...]
+    failures: tuple[dict, ...]  # parse_failures.jsonl documents
     request_digest: str
 
 
@@ -423,7 +419,8 @@ def _run_predictions(
             request = replace(request, max_tokens=config.max_tokens)
         reply = _ask(backend, request, PREDICTION_REMINDER,
                      lambda text: parse_prediction(text, day))
-        failures = tuple(failure_record(day, d, exc.raw, str(exc)) for d, exc in reply.failures)
+        failures = tuple({"date": day.isoformat(), "request_digest": d, "reason": str(exc),
+                          "raw_reply": exc.raw} for d, exc in reply.failures)
         if reply.value is not None:
             return DayPrediction(reply.value, False, failures, reply.digest)
         fallback = PredictionResult(
@@ -485,10 +482,8 @@ def _stage_ingest(config: PipelineConfig, _backend) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read trip source {config.trip_source}: {exc}") from exc
     write_daily_demand_csv(series, artifact_path(config, "daily_demand"))
-    _write_jsonl(
-        artifact_path(config, "ingest_rejects"),
-        (json.dumps({"row": r.row, "reason": r.reason}, sort_keys=True) for r in rejects),
-    )
+    rejected = ({"row": r.row, "reason": r.reason} for r in rejects)
+    _write_jsonl(artifact_path(config, "ingest_rejects"), rejected)
     return {"trips": trips.valid, "rejects": len(rejects), "days": len(series)}
 
 
@@ -567,20 +562,17 @@ def _stage_predict(config: PipelineConfig, backend: ChatBackend) -> dict:
         LLM_MODEL_NAME,
         artifact_path(config, "predictions"),
     )
-    _write_jsonl(artifact_path(config, "predictions_detail"), (
-        json.dumps({
-            "date": p.result.date.isoformat(),
-            "pickup": p.result.pickup,
-            "dropoff": p.result.dropoff,
-            "reasoning": p.result.reasoning,
-            "raw_response": p.result.raw_response,
-            "fallback": p.fallback,
-            "request_digest": p.request_digest,
-        }, sort_keys=True, ensure_ascii=False)
-        for p in predictions
-    ))
-    failure_lines = [line for p in predictions for line in p.failures]
-    _write_jsonl(artifact_path(config, "parse_failures"), failure_lines)
+    _write_jsonl(artifact_path(config, "predictions_detail"), ({
+        "date": p.result.date.isoformat(),
+        "pickup": p.result.pickup,
+        "dropoff": p.result.dropoff,
+        "reasoning": p.result.reasoning,
+        "raw_response": p.result.raw_response,
+        "fallback": p.fallback,
+        "request_digest": p.request_digest,
+    } for p in predictions))
+    failures = [doc for p in predictions for doc in p.failures]
+    _write_jsonl(artifact_path(config, "parse_failures"), failures)
 
     fallbacks = sum(1 for p in predictions if p.fallback)
     rate = fallbacks / len(predictions) if predictions else 0.0
@@ -592,7 +584,7 @@ def _stage_predict(config: PipelineConfig, backend: ChatBackend) -> dict:
         "days": len(predictions),
         "fallbacks": fallbacks,
         "fallback_rate": rate,
-        "parse_failures": len(failure_lines),
+        "parse_failures": len(failures),
     }
 
 
@@ -983,12 +975,12 @@ def _output_digests(
     }
 
 
-def _check(stage: str, config: PipelineConfig) -> tuple[dict, _FileDigests, dict, bool]:
-    """The skip check: the manifest, its file digests, the stage's state (its
-    config slice, inputs and outputs, as the manifest records them) and
-    whether the stage's entry matches that state."""
-    manifest = load_manifest(config)
-    digest = _FileDigests(manifest)
+def _check(
+    stage: str, config: PipelineConfig, manifest: dict, digest: _FileDigests
+) -> tuple[dict, bool]:
+    """The skip check: the stage's state (its config slice, inputs and
+    outputs, as the manifest records them) and whether the stage's entry in
+    `manifest` matches that state."""
     config_slice = json.dumps(
         {name: encode(getattr(config, name)) for name in _STAGE_DEFS[stage].config},
         sort_keys=True, separators=(",", ":"),
@@ -999,16 +991,15 @@ def _check(stage: str, config: PipelineConfig) -> tuple[dict, _FileDigests, dict
         "outputs": _output_digests(stage, config, digest),
     }
     entry = manifest["stages"].get(stage)
-    return manifest, digest, state, entry is not None and all(
-        entry.get(key) == value for key, value in state.items()
-    )
+    return state, entry is not None and all(entry.get(key) == value for key, value in state.items())
 
 
 def plan_stage(stage: str, config: PipelineConfig) -> dict:
     """Dry-run view: whether the stage would be skipped, and its files."""
     stage_def = _stage_def(stage)
+    manifest = load_manifest(config)
     try:
-        _, _, state, up_to_date = _check(stage, config)
+        state, up_to_date = _check(stage, config, manifest, _FileDigests(manifest))
         blocked = []
     except (ConfigError, PreconditionError) as exc:
         state, up_to_date, blocked = {"inputs": {}}, False, [str(exc)]
@@ -1039,39 +1030,8 @@ def run_stage(
     config: PipelineConfig,
     backend: ChatBackend | None = None,
 ) -> StageResult:
-    """Run one stage, or skip it when its declared inputs and outputs are
-    unchanged. A skip saves the manifest only when its check recorded a file.
-    A stage that needs a backend and is given none builds one, and closes it;
-    a given backend is the caller's to close."""
-    stage_def = _stage_def(stage)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    manifest, digest, state, up_to_date = _check(stage, config)
-    if up_to_date:
-        if digest.added:
-            save_manifest(config, manifest)
-        return StageResult(stage, True, manifest["stages"][stage].get("stats", {}))
-
-    started = time.perf_counter(), time.process_time(), resource.getrusage(resource.RUSAGE_CHILDREN)
-    built = stage_def.needs_backend and backend is None
-    if built:
-        backend = build_backend(config)
-    try:
-        before = _backend_call_count(backend) if stage_def.needs_backend else None
-        stats = stage_def.run(config, backend)
-        if before is not None:
-            stats["backend_calls"] = _backend_call_count(backend) - before
-    finally:
-        if built:
-            backend.close()
-    manifest["stages"][stage] = {
-        **state,
-        "outputs": _output_digests(stage, config, digest),
-        "stats": stats,
-        **_telemetry(*started),
-        "completed_at": datetime.now(timezone.utc).isoformat(),
-    }
-    save_manifest(config, manifest)
-    return StageResult(stage, False, stats)
+    """Run one stage as `run_pipeline` runs it."""
+    return run_pipeline(config, (stage,), backend)[0]
 
 
 DEFAULT_RUN_STAGES = ("ingest", "format_events", "decompose", "predict", "evaluate", "report")
@@ -1082,6 +1042,41 @@ def run_pipeline(
     stages: Sequence[str] = DEFAULT_RUN_STAGES,
     backend: ChatBackend | None = None,
 ) -> list[StageResult]:
-    """Run stages in order. A given backend is shared; otherwise each stage
-    that runs builds its own, so a run whose stages all skip needs none."""
-    return [run_stage(stage, config, backend) for stage in stages]
+    """Run stages in order, each skipped when its declared inputs and outputs
+    are unchanged. The manifest is read once; it is saved after each stage
+    that runs and each skip whose check recorded a file. A given backend is
+    shared and is the caller's to close; otherwise each stage that runs and
+    needs one builds its own and closes it, so a run whose stages all skip
+    needs none."""
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    manifest = load_manifest(config)
+    digest = _FileDigests(manifest)
+    results = []
+    for stage in stages:
+        stage_def = _stage_def(stage)
+        state, skipped = _check(stage, config, manifest, digest)
+        if not skipped:
+            started = (time.perf_counter(), time.process_time(),
+                       resource.getrusage(resource.RUSAGE_CHILDREN))
+            built = stage_def.needs_backend and backend is None
+            stage_backend = build_backend(config) if built else backend
+            try:
+                before = _backend_call_count(stage_backend) if stage_def.needs_backend else None
+                stats = stage_def.run(config, stage_backend)
+                if before is not None:
+                    stats["backend_calls"] = _backend_call_count(stage_backend) - before
+            finally:
+                if built:
+                    stage_backend.close()
+            manifest["stages"][stage] = {
+                **state,
+                "outputs": _output_digests(stage, config, digest),
+                "stats": stats,
+                **_telemetry(*started),
+                "completed_at": datetime.now(timezone.utc).isoformat(),
+            }
+        if digest.added or not skipped:
+            save_manifest(config, manifest)
+            digest.added = False
+        results.append(StageResult(stage, skipped, manifest["stages"][stage].get("stats", {})))
+    return results

@@ -35,7 +35,6 @@ from mpe.gateway import (
     HttpBackend,
     ScriptedBackend,
     TokenUsage,
-    cache_key,
     canonical_payload,
     canonical_serialization,
 )
@@ -97,11 +96,11 @@ def test_backend_config_validation():
 
 
 def test_digest_determinism_and_field_sensitivity():
-    assert cache_key(_request()) == cache_key(_request())
-    assert cache_key(_request()) != cache_key(_request(temperature=0.5))
-    assert cache_key(_request()) != cache_key(_request(content="other"))
-    assert cache_key(_request()) != cache_key(_request(max_tokens=100))
-    assert len(cache_key(_request())) == 64
+    assert _request().digest == _request().digest
+    assert _request().digest != _request(temperature=0.5).digest
+    assert _request().digest != _request(content="other").digest
+    assert _request().digest != _request(max_tokens=100).digest
+    assert len(_request().digest) == 64
 
 
 def test_digest_matches_independent_canonical_serializer():
@@ -114,7 +113,7 @@ def test_digest_matches_independent_canonical_serializer():
         expected = canonical_digest(
             "gpt-4", temperature, [("user", content)], max_tokens
         )
-        assert cache_key(request) == expected
+        assert request.digest == expected
 
 
 def test_canonical_serialization_is_compact_and_ordered():
@@ -123,7 +122,7 @@ def test_canonical_serialization_is_compact_and_ordered():
     assert " " not in text.split('"messages"')[0]
 
 
-def test_cache_key_serialises_a_request_once(monkeypatch, tmp_path):
+def test_request_digest_serialises_a_request_once(monkeypatch, tmp_path):
     serialised = []
 
     def counting(request):
@@ -132,12 +131,12 @@ def test_cache_key_serialises_a_request_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(gateway, "canonical_serialization", counting)
     request = _request("keyed by every layer")
-    digest = cache_key(request)
+    digest = request.digest
     backend = CachingBackend(ScriptedBackend({digest: "scripted"}), tmp_path / "store")
     assert backend.complete(request).content == "scripted"
-    assert cache_key(request) == digest
+    assert request.digest == digest
     assert serialised == [request]
-    assert cache_key(replace(request, temperature=0.5)) != digest
+    assert replace(request, temperature=0.5).digest != digest
     assert len(serialised) == 2
 
 
@@ -149,7 +148,7 @@ def test_no_digest_collisions_across_10k_random_requests():
         request = _request(
             f"{i}:{content}", temperature=rng.choice([0.0, 0.5, 1.0])
         )
-        digest = cache_key(request)
+        digest = request.digest
         assert digest not in seen
         seen[digest] = True
 
@@ -159,7 +158,7 @@ def test_no_digest_collisions_across_10k_random_requests():
 
 def test_scripted_mock_by_digest():
     request = _request("what is the demand")
-    backend = ScriptedBackend({cache_key(request): "[pickup] 500 [dropoff] 300 [reasoning] test"})
+    backend = ScriptedBackend({request.digest: "[pickup] 500 [dropoff] 300 [reasoning] test"})
     assert backend.complete(request).content == "[pickup] 500 [dropoff] 300 [reasoning] test"
     assert backend.call_count == 1
 
@@ -222,7 +221,7 @@ def test_cache_layout(tmp_path):
     backend = CachingBackend(CountingBackend(), store)
     request = _request("layout probe")
     backend.complete(request)
-    digest = cache_key(request)
+    digest = request.digest
     path = store / "sha256" / digest[:2] / f"{digest}.json"
     assert path.exists()
     doc = json.loads(path.read_text())
@@ -236,7 +235,7 @@ def test_corrupted_entry_is_refetched_and_overwritten(tmp_path):
     backend = CachingBackend(inner, store)
     request = _request("heal me")
     backend.complete(request)
-    digest = cache_key(request)
+    digest = request.digest
     path = store / "sha256" / digest[:2] / f"{digest}.json"
     path.write_text("{ corrupted")
     response = backend.complete(request)
@@ -248,7 +247,7 @@ def test_corrupted_entry_is_refetched_and_overwritten(tmp_path):
 def test_cache_entry_bytes_mode_and_no_temp_files(tmp_path):
     store = tmp_path / "store"
     CachingBackend(CountingBackend(), store).complete(_request("mode probe"))
-    digest = cache_key(_request("mode probe"))
+    digest = _request("mode probe").digest
     path = store / "sha256" / digest[:2] / f"{digest}.json"
     doc = json.loads(path.read_bytes())
     assert path.read_bytes() == json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
@@ -277,7 +276,7 @@ def test_two_threads_writing_one_entry_leave_one_whole_file(tmp_path):
         t.join()
     assert inner.calls == 2 and backend.misses == 2
     files = [p for p in (store / "sha256").rglob("*") if p.is_file()]
-    assert [p.name for p in files] == [f"{cache_key(_request('race'))}.json"]
+    assert [p.name for p in files] == [f"{_request('race').digest}.json"]
     assert json.loads(files[0].read_text())["response"]["content"] == "cached reply"
     assert CachingBackend(CountingBackend("other"), store).complete(_request("race")).content \
         == "cached reply"
@@ -303,7 +302,7 @@ def test_each_shard_directory_is_created_once(tmp_path, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    shards = {cache_key(r)[:2] for r in requests}
+    shards = {r.digest[:2] for r in requests}
     assert {p.name for p in (store / "sha256").iterdir()} == shards
 
     # New requests into the shards that now exist make no directory.
@@ -315,13 +314,13 @@ def test_each_shard_directory_is_created_once(tmp_path, monkeypatch):
         return mkdir(path, *args, **kwargs)
 
     fresh = [r for r in map(_request, (f"again {i}" for i in range(400)))
-             if cache_key(r)[:2] in shards]
+             if r.digest[:2] in shards]
     monkeypatch.setattr(os, "mkdir", counting)
     for request in fresh + requests[:50]:
         backend.complete(request)
     assert made == []
     assert backend.misses == 400 + len(fresh) and backend.hits == 50
-    assert all(backend._path(cache_key(r)).is_file() for r in fresh)
+    assert all(backend._path(r.digest).is_file() for r in fresh)
 
 
 def test_entry_is_written_after_its_shard_directory_is_removed(tmp_path):
@@ -330,13 +329,13 @@ def test_entry_is_written_after_its_shard_directory_is_removed(tmp_path):
     by_shard = {}
     for i in itertools.count():
         request = _request(f"pair {i}")
-        first = by_shard.setdefault(cache_key(request)[:2], request)
+        first = by_shard.setdefault(request.digest[:2], request)
         if first is not request:
             break
     backend.complete(first)
-    shutil.rmtree(store / "sha256" / cache_key(first)[:2])
+    shutil.rmtree(store / "sha256" / first.digest[:2])
     assert backend.complete(request).content == "cached reply"
-    assert backend._path(cache_key(request)).is_file()
+    assert backend._path(request.digest).is_file()
     assert CachingBackend(CountingBackend("other"), store).complete(request).content \
         == "cached reply"
 

@@ -1,6 +1,5 @@
 """Reply parsers: tagged extraction, tolerance, and totality."""
 
-import json
 import random
 from datetime import date, time
 
@@ -12,7 +11,6 @@ from mpe.errors import MalformedReplyError
 from mpe.events import EventRecord
 from mpe.parsing import (
     PredictionResult,
-    failure_record,
     parse_formatted_event,
     parse_prediction,
     render_prediction_reply,
@@ -167,14 +165,3 @@ def test_parsers_are_total_on_noise():
 def test_prediction_result_validation():
     with pytest.raises(ValueError):
         PredictionResult(DAY, -1, 0, "r", "raw")
-
-
-def test_failure_record_shape():
-    line = failure_record(DAY, "ab" * 32, "raw reply", "no tag")
-    doc = json.loads(line)
-    assert doc == {
-        "date": "2014-07-25",
-        "request_digest": "ab" * 32,
-        "raw_reply": "raw reply",
-        "reason": "no tag",
-    }

@@ -454,6 +454,14 @@ def test_fallback_budget_exceeded_raises(small_dataset_dir, small_config, tmp_pa
     # artifacts are still written before the budget gate fires
     failures = artifact_path(config, "parse_failures").read_text().splitlines()
     assert len(failures) == 6  # two per day over three days
+    doc = json.loads(failures[0])
+    assert re.fullmatch("[0-9a-f]{64}", doc["request_digest"])
+    assert doc == {
+        "date": "2021-07-01",
+        "request_digest": doc["request_digest"],
+        "raw_reply": "never a tagged reply",
+        "reason": "no [pickup] tag in reply",
+    }
 
 
 def test_unregistered_mock_prompt_is_backend_error(small_config, tmp_path):
@@ -724,7 +732,7 @@ def live_model(monkeypatch):
             with self.lock:
                 if self.budget is not None and len(self.answered) >= self.budget:
                     raise TransportError("connection refused")
-                self.answered.append(gateway.cache_key(request))
+                self.answered.append(request.digest)
             return super().complete(request)
 
     monkeypatch.setattr(pipeline, "HttpBackend", Endpoint)
@@ -1360,22 +1368,6 @@ def test_manifest_without_a_file_table_skips_and_gains_one(tmp_path, short_margi
     assert _stat_record(config, config.trip_source) is not None
 
 
-def test_recording_skip_drops_the_stat_maps_of_an_older_manifest(tmp_path, short_margin):
-    config = _ingest_config(tmp_path)
-    short_margin()
-    run_stage("ingest", config)
-    manifest_path = config.output_dir / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    # Before the file table, each stage entry kept a stat map of its own.
-    stats = {key: record[:5] for key, record in manifest.pop("files").items()}
-    manifest["stages"]["ingest"]["stat"] = stats
-    manifest_path.write_text(json.dumps(manifest))
-    assert run_stage("ingest", config).skipped
-    saved = json.loads(manifest_path.read_text())
-    assert str(config.trip_source) in saved["files"]  # the skip recorded and saved
-    assert "stat" not in saved["stages"]["ingest"]
-
-
 def _slow_ingest(monkeypatch, seconds: float, during=lambda: None):
     """Make ingest take `seconds` longer, calling `during` first."""
     ingest = _STAGE_DEFS["ingest"]
@@ -1449,6 +1441,19 @@ def test_second_aged_all_skipped_run_opens_no_file(small_config, tmp_path, short
     opens.clear()
     assert _ran(run_pipeline(config, STAGES)) == set()
     assert opens == []
+
+
+def test_up_to_date_run_reads_the_manifest_once(seven_stage_run, monkeypatch):
+    loads = []
+    load = pipeline.load_manifest
+
+    def counting_load(config):
+        loads.append(config.output_dir)
+        return load(config)
+
+    monkeypatch.setattr(pipeline, "load_manifest", counting_load)
+    assert _ran(run_pipeline(seven_stage_run, STAGES)) == set()
+    assert loads == [seven_stage_run.output_dir]
 
 
 def test_input_edited_during_its_stage_is_not_recorded(tmp_path, monkeypatch):
