@@ -17,7 +17,7 @@ from .errors import MpeError
 from .pipeline import (
     DEFAULT_RUN_STAGES,
     STAGES,
-    plan_stage,
+    plan_pipeline,
     run_pipeline,
 )
 from .synthetic import generate_files
@@ -89,8 +89,7 @@ def _run_stages(args, stages) -> int:
     config = PipelineConfig.from_file(args.config)
     config = _apply_overrides(config, args)
     if args.dry_run:
-        for stage in stages:
-            plan = plan_stage(stage, config)
+        for plan in plan_pipeline(config, stages):
             status = "skip" if plan["would_skip"] else "run"
             if plan["blocked"]:
                 status = "blocked"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import date, time
-from typing import Mapping, Sequence, TextIO
+from typing import Mapping, Sequence
 
 from .errors import CatalogError
 from .trips import DateRange
@@ -74,9 +74,8 @@ def _require(entry: dict, key: str, index: int) -> object:
     return entry[key]
 
 
-def parse_event_records(source: str | TextIO) -> list[EventRecord]:
+def parse_event_records(text: str) -> list[EventRecord]:
     """Parse the catalog document; record-level problems name the index."""
-    text = source if isinstance(source, str) else source.read()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -282,11 +282,11 @@ class ScriptedBackend(ChatBackend):
     """
 
     def __init__(self, script: Mapping[str, str]):
-        self.script = dict(script)
-        self._digest_keys = {
-            k for k in self.script
-            if len(k) == 64 and all(c in "0123456789abcdef" for c in k.lower())
-        }
+        # A digest key is stored lower-cased, as `request.digest` spells it.
+        digests = {k: k.lower() for k in script
+                   if len(k) == 64 and set(k.lower()) <= set("0123456789abcdef")}
+        self.script = {digests.get(k, k): v for k, v in script.items()}
+        self._digest_keys = set(digests.values())
         self.call_count = 0
         self._lock = threading.Lock()
 

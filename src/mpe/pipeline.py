@@ -98,7 +98,6 @@ from .prompts import (
     round_half_up,
 )
 from .trips import (
-    DailyDemand,
     DateRange,
     RejectionNote,
     TripFile,
@@ -276,20 +275,18 @@ def _load_catalog(config: PipelineConfig) -> list[EventRecord]:
 
 
 class _History(NamedTuple):
-    """True daily demand, the event calendar and the day decompositions."""
+    """The event calendar and the day decompositions, which hold true demand."""
 
-    demand: Mapping[date, DailyDemand]
     calendar: Mapping[date, DayEvents]
     decompositions: Mapping[date, DemandDecomposition]
 
 
 def _load_history(config: PipelineConfig) -> _History:
-    demand = demand_index(read_daily_demand_csv(artifact_path(config, "daily_demand")))
     calendar = day_events_index(_load_catalog(config), config.full_range)
     decompositions = {
         d.date: d for d in read_decomposition_csv(artifact_path(config, "decomposition"))
     }
-    return _History(demand, calendar, decompositions)
+    return _History(calendar, decompositions)
 
 
 def _formatted_lookup(config: PipelineConfig) -> dict[tuple[str, str | None], tuple[str, str]]:
@@ -308,8 +305,6 @@ def _events_for_prompt(
     """Raw records, or FormattedEvents when the ablation needs h'."""
     if ablation.event_features is not EventFeatures.C_T_H_PRIME:
         return day_events.events
-    if formatted is None:
-        raise StageError("formatted events required for the c_t_h_prime ablation")
     out = []
     for record in day_events.events:
         key = (record.title, record.description)
@@ -400,10 +395,7 @@ def _run_predictions(
 
     def predict_day(i: int) -> DayPrediction:
         day = targets.start + timedelta(days=i)
-        if day in history.decompositions:
-            baseline = history.decompositions[day].baseline
-        else:
-            baseline = weekday_baseline(history.demand, history.calendar, day, config.baseline)
+        baseline = history.decompositions[day].baseline
         request = build_prediction_prompt(
             HistoryWindow(tuple(contexts[i:i + n])),
             DayContext(day, target_events[i]),
@@ -433,39 +425,6 @@ def _run_predictions(
         return DayPrediction(fallback, True, failures, reply.digest)
 
     return _map(config, predict_day, range(targets.n_days))
-
-
-def predict_next_day(
-    demand: Mapping[date, DailyDemand],
-    catalog: Sequence[EventRecord],
-    target: date,
-    config: PipelineConfig,
-    backend: ChatBackend,
-    formatted: Mapping[tuple[str, str | None], tuple[str, str]] | None = None,
-) -> PredictionResult:
-    """One-step-ahead prediction for `target` from true prior history.
-
-    Composes baseline estimation, window assembly, prompt rendering, the
-    backend call, and reply parsing; a malformed reply triggers one
-    re-prompt with a format reminder, then a fallback to the rounded
-    baseline. Window-day decompositions are computed causally on the fly,
-    so `demand` must also cover at least one day before the window start.
-    """
-    first = target - timedelta(days=config.history_days)
-    for offset in range(config.history_days):
-        if first + timedelta(days=offset) not in demand:
-            raise ValueError(
-                f"insufficient history: need {config.history_days} days before {target}"
-            )
-    calendar = day_events_index(catalog, DateRange(min(demand), target))
-    days = (target - timedelta(days=offset) for offset in range(config.history_days, 0, -1))
-    decompositions = {d.date: d for d in _decompose_days(config, demand, calendar, days)}
-    history = _History(demand, calendar, decompositions)
-    (prediction,) = _run_predictions(
-        config, backend, config.ablation, history, formatted, config.templates(),
-        DateRange(target, target),
-    )
-    return prediction.result
 
 
 # ---------------------------------------------------------------------------
@@ -527,20 +486,10 @@ def _stage_decompose(config: PipelineConfig, _backend) -> dict:
     demand = demand_index(read_daily_demand_csv(artifact_path(config, "daily_demand")))
     calendar = day_events_index(_load_catalog(config), config.full_range)
     days = list(config.full_range.days())[1:]  # no prior history exists for the very first day
-    rows = _decompose_days(config, demand, calendar, days)
+    rows = [decompose(demand[d], weekday_baseline(demand, calendar, d, config.baseline))
+            for d in days]
     write_decomposition_csv(rows, artifact_path(config, "decomposition"))
     return {"days": len(rows)}
-
-
-def _decompose_days(
-    config: PipelineConfig,
-    demand: Mapping[date, DailyDemand],
-    calendar: Mapping[date, DayEvents],
-    days: Iterable[date],
-) -> list[DemandDecomposition]:
-    """Each day's demand split against its weekday baseline from prior days."""
-    baseline = config.baseline
-    return [decompose(demand[d], weekday_baseline(demand, calendar, d, baseline)) for d in days]
 
 
 def _backend_call_count(backend: ChatBackend) -> int | None:
@@ -602,7 +551,7 @@ def _fit_classical(
     """Fit each of `kinds` ("linear", "gbdt") on the train range, predict
     the test range and join with truth. Each feature matrix is built once;
     classical models see raw event records only (see `_classical_ablation`)."""
-    demand, decompositions = history.demand, history.decompositions
+    decompositions = history.decompositions
     feat_config = FeaturizerConfig(
         lag_days=config.history_days,
         time_bins=config.time_bins,
@@ -657,7 +606,8 @@ def _fit_classical(
                 pred_out += baseline.outflow
                 pred_in += baseline.inflow
             records.append(EvalRecord(
-                target, demand[target], Flows(max(0.0, pred_out), max(0.0, pred_in))
+                target, decompositions[target].actual,
+                Flows(max(0.0, pred_out), max(0.0, pred_in)),
             ))
         fits[kind] = _ClassicalFit(records, models)
     return fits
@@ -699,10 +649,10 @@ def _read_prediction_csv(path: Path) -> list[tuple[date, Flows]]:
 
 def _stage_evaluate(config: PipelineConfig, _backend) -> dict:
     history = _load_history(config)
-    demand, calendar = history.demand, history.calendar
+    calendar, decompositions = history.calendar, history.decompositions
 
     llm_records = [
-        EvalRecord(d, demand[d], pred)
+        EvalRecord(d, decompositions[d].actual, pred)
         for d, pred in _read_prediction_csv(artifact_path(config, "predictions"))
     ]
     reports = [segment_report(llm_records, calendar, LLM_MODEL_NAME, config.ablation)]
@@ -710,7 +660,7 @@ def _stage_evaluate(config: PipelineConfig, _backend) -> dict:
     classical_ablation = _classical_ablation(config.ablation)
     fits = _fit_classical(config, classical_ablation, history, ("linear", "gbdt"))
     fits["historical_average"] = _ClassicalFit([  # no model to save
-        EvalRecord(d, demand[d], history.decompositions[d].baseline)
+        EvalRecord(d, decompositions[d].actual, decompositions[d].baseline)
         for d in config.test_range.days()
     ], ())
     for model_kind in CLASSICAL_MODELS:
@@ -742,7 +692,7 @@ def _stage_ablate(config: PipelineConfig, backend: ChatBackend) -> dict:
             config, backend, ablation, history, formatted, templates, config.test_range
         )
         return [
-            EvalRecord(p.result.date, history.demand[p.result.date],
+            EvalRecord(p.result.date, history.decompositions[p.result.date].actual,
                        Flows(float(p.result.pickup), float(p.result.dropoff)))
             for p in predictions
         ]
@@ -795,9 +745,10 @@ def _stage_report(config: PipelineConfig, _backend) -> dict:
         f"Prediction fallback rate: {rate:.4f} ({sum(fallbacks)} of {len(fallbacks)} days)",
     ]
     # Every model is scored on every test day, so each skips the same MAPE terms.
-    demand = demand_index(read_daily_demand_csv(artifact_path(config, "daily_demand")))
     zeros = sum(
-        (demand[d].outflow == 0) + (demand[d].inflow == 0) for d in config.test_range.days()
+        (d.actual.outflow == 0) + (d.actual.inflow == 0)
+        for d in read_decomposition_csv(artifact_path(config, "decomposition"))
+        if d.date in config.test_range
     )
     if zeros:
         lines.append(
@@ -896,7 +847,7 @@ _STAGE_DEFS: dict[str, StageDef] = {
         config=(*_LLM_FIELDS, *_RANGES, "history_days", "baseline", "ablation",
                 "max_tokens", "fallback_budget"),
         reads=lambda c: [
-            c.event_source, *_mock_script(c), "daily_demand", "decomposition", *_h_prime(c),
+            c.event_source, *_mock_script(c), "decomposition", *_h_prime(c),
         ],
         reads_if_present=_template("prediction"),
         writes=("predictions", "predictions_detail", "parse_failures"),
@@ -906,7 +857,7 @@ _STAGE_DEFS: dict[str, StageDef] = {
         config=(*_RANGES, "history_days", "ablation", "linear_ridge_lambda", "gbdt",
                 "time_bins", "text_dim"),
         reads=lambda c: [
-            c.event_source, "daily_demand", "decomposition", "predictions",
+            c.event_source, "decomposition", "predictions",
         ],
         writes=(
             "report", "plot_data", "predictions_historical_average", "predictions_linear",
@@ -919,7 +870,7 @@ _STAGE_DEFS: dict[str, StageDef] = {
         config=(*_LLM_FIELDS, *_RANGES, "history_days", "baseline", "max_tokens",
                 "ablate_models", "gbdt", "time_bins", "text_dim"),
         reads=lambda c: [
-            c.event_source, *_mock_script(c), "daily_demand", "decomposition", "formatted_events",
+            c.event_source, *_mock_script(c), "decomposition", "formatted_events",
         ],
         reads_if_present=_template("prediction"),
         writes=("ablation_report",),
@@ -927,7 +878,7 @@ _STAGE_DEFS: dict[str, StageDef] = {
     "report": StageDef(
         run=_stage_report,
         config=("venue", "test_range", "ablation"),
-        reads=lambda c: ["report", "predictions_detail", "daily_demand"],
+        reads=lambda c: ["report", "predictions_detail", "decomposition"],
         reads_if_present=lambda c: ["ablation_report"],
         writes=("summary",),
     ),
@@ -994,22 +945,32 @@ def _check(
     return state, entry is not None and all(entry.get(key) == value for key, value in state.items())
 
 
-def plan_stage(stage: str, config: PipelineConfig) -> dict:
-    """Dry-run view: whether the stage would be skipped, and its files."""
-    stage_def = _stage_def(stage)
+def plan_pipeline(config: PipelineConfig, stages: Sequence[str]) -> list[dict]:
+    """Dry-run view of `run_pipeline(config, stages)`: per stage, whether it
+    would skip, what blocks it, and the files it writes. The manifest is read
+    once and nothing is saved. A stage that reads an artifact of a stage
+    planned to run is planned to run, unchecked."""
     manifest = load_manifest(config)
-    try:
-        state, up_to_date = _check(stage, config, manifest, _FileDigests(manifest))
-        blocked = []
-    except (ConfigError, PreconditionError) as exc:
-        state, up_to_date, blocked = {"inputs": {}}, False, [str(exc)]
-    return {
-        "stage": stage,
-        "inputs": sorted(state["inputs"]),
-        "outputs": [str(artifact_path(config, n)) for n in stage_def.writes],
-        "would_skip": up_to_date,
-        "blocked": blocked,
-    }
+    digest = _FileDigests(manifest)
+    pending: set[str] = set()  # artifacts of the stages planned to run
+    plans = []
+    for stage in stages:
+        stage_def = _stage_def(stage)
+        up_to_date, blocked = False, []
+        if pending.isdisjoint([*stage_def.reads(config), *stage_def.reads_if_present(config)]):
+            try:
+                up_to_date = _check(stage, config, manifest, digest)[1]
+            except (ConfigError, PreconditionError) as exc:
+                blocked = [str(exc)]
+        if not (up_to_date or blocked):
+            pending.update(stage_def.writes)
+        plans.append({
+            "stage": stage,
+            "outputs": [str(artifact_path(config, n)) for n in stage_def.writes],
+            "would_skip": up_to_date,
+            "blocked": blocked,
+        })
+    return plans
 
 
 def _telemetry(wall: float, cpu: float, children) -> dict:

@@ -15,7 +15,7 @@ import os
 import random
 import sys
 import time
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from dataclasses import replace
 from datetime import date, datetime, time as time_of_day, timedelta
 
@@ -33,7 +33,6 @@ from mpe.parsing import parse_formatted_event, parse_prediction
 from mpe.pipeline import (
     PipelineConfig,
     artifact_path,
-    predict_next_day,
     run_pipeline,
     run_stage,
 )
@@ -377,41 +376,12 @@ def test_criterion_8_ingestion_correctness():
 )
 def test_criterion_9_live_smoke(tmp_path):
     with criterion(9, "live smoke test", 600.0):
-        end = date(2021, 6, 30)
-        history = {}
-        for i in range(120):
-            d = end - timedelta(days=i)
-            history[d] = DailyDemand(d, 300 + 10 * d.weekday(), 200 + 6 * d.weekday())
-        titles = ["Hawks vs. Comets", "Aurora Vale Live in Concert",
-                  "Dino Quest Family Spectacular", "Max Corby Comedy Night",
-                  "Rosetta Sky Live in Concert"]
-        catalog = []
-        for i, title in enumerate(titles):
-            d = end + timedelta(days=i + 1)
-            catalog.append(EventRecord(title, None, d, time_of_day(19, 30), time_of_day(22, 30)))
-        config = PipelineConfig(
-            venue=VenueConfig("Live Smoke Arena", GeoPoint(40.7, -73.95)),
-            trip_source=tmp_path / "unused.csv",
-            event_source=tmp_path / "unused.json",
-            train_range=DateRange(end - timedelta(days=119), end - timedelta(days=10)),
-            test_range=DateRange(end + timedelta(days=1), end + timedelta(days=5)),
-            output_dir=tmp_path / "out",
-            backend_kind="live",
-            cache_dir=tmp_path / "cache",
-            ablation=AblationConfig(EventFeatures.C_T_H, DemandFeatures.R_I),
+        train_end = date(2021, 4, 30)
+        doc = generate_files(
+            tmp_path / "data", DateRange(date(2021, 1, 4), train_end + timedelta(days=5)),
+            train_end,
         )
-        from mpe.pipeline import build_backend
-
-        fallbacks = 0
-        day_history = dict(history)
-        with closing(build_backend(config)) as backend:
-            for i in range(5):
-                target = end + timedelta(days=i + 1)
-                fmt_request = build_event_format_prompt(catalog[i], model=config.model)
-                reply = backend.complete(fmt_request)
-                parse_formatted_event(reply.content, catalog[i])
-                result = predict_next_day(day_history, catalog, target, config, backend)
-                if result.reasoning == "fallback: baseline":
-                    fallbacks += 1
-                day_history[target] = DailyDemand(target, result.pickup, result.dropoff)
-        assert fallbacks / 5 <= 0.20
+        config = replace(PipelineConfig.from_dict(doc), backend_kind="live")
+        assert config.test_range.n_days == 5
+        results = {r.stage: r for r in run_pipeline(config)}
+        assert results["predict"].stats["fallback_rate"] <= 0.20

@@ -63,7 +63,7 @@ def test_precondition_violation_exits_3(cli_dataset, tmp_path, capsys):
         "--output-dir", str(tmp_path / "fresh"),
     ])
     assert code == 3
-    assert "run `ingest` first" in capsys.readouterr().err
+    assert "run `decompose` first" in capsys.readouterr().err
 
 
 def test_backend_error_exits_4(cli_dataset, tmp_path, capsys):
@@ -117,6 +117,41 @@ def _config_with_sources(cli_dataset, tmp_path, **sources) -> str:
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config_doc))
     return str(config_path)
+
+
+def _statuses(capsys, argv) -> dict[str, str]:
+    """Stage -> status, from the lines `main(argv)` prints for the stages:
+    a plan's run, skip or blocked, or a run's done (as run) or skipped (as skip)."""
+    assert main(argv) == 0
+    lines = [line.split(": ", 1) for line in capsys.readouterr().out.splitlines()
+             if not line.startswith(" ")]
+    words = {"done": "run", "skipped": "skip"}
+    return {stage: words.get(rest.split()[0], rest.split()[0]) for stage, rest in lines}
+
+
+def test_dry_run_on_a_fresh_directory_plans_every_stage_to_run(cli_dataset, tmp_path, capsys):
+    config_path = _config_with_sources(cli_dataset, tmp_path)
+    plan = _statuses(capsys, ["run", "--config", config_path, "--with-ablate", "--dry-run"])
+    assert plan == dict.fromkeys(
+        ("ingest", "format_events", "decompose", "predict", "evaluate", "ablate", "report"),
+        "run",
+    )
+    assert _statuses(capsys, ["predict", "--config", config_path, "--dry-run"]) == \
+        {"predict": "blocked"}
+    assert not (tmp_path / "o").exists()
+
+
+def test_dry_run_after_a_radius_edit_plans_what_the_run_does(cli_dataset, tmp_path, capsys):
+    config_path = Path(_config_with_sources(cli_dataset, tmp_path))
+    assert main(["run", "--config", str(config_path)]) == 0
+    capsys.readouterr()
+    config_doc = json.loads(config_path.read_text())
+    config_doc["venue"]["radius_m"] = 3500
+    config_path.write_text(json.dumps(config_doc))
+    plan = _statuses(capsys, ["run", "--config", str(config_path), "--dry-run"])
+    assert plan == {"ingest": "run", "format_events": "skip", "decompose": "run",
+                    "predict": "run", "evaluate": "run", "report": "run"}
+    assert _statuses(capsys, ["run", "--config", str(config_path)]) == plan
 
 
 def test_event_source_that_is_not_utf8_exits_2(cli_dataset, tmp_path, capsys):

@@ -163,6 +163,12 @@ def test_scripted_mock_by_digest():
     assert backend.call_count == 1
 
 
+def test_scripted_mock_by_upper_case_digest():
+    request = _request("what is the demand")
+    backend = ScriptedBackend({request.digest.upper(): "[pickup] 1 [dropoff] 2"})
+    assert backend.complete(request).content == "[pickup] 1 [dropoff] 2"
+
+
 def test_scripted_mock_by_unique_substring():
     backend = ScriptedBackend({"demand for 2014-07-25": "[pickup] 1 [dropoff] 2"})
     request = _request("predict the demand for 2014-07-25 please")

@@ -10,7 +10,7 @@ import shutil
 import sys
 import threading
 from dataclasses import fields, replace
-from datetime import date, time, timedelta
+from datetime import date, timedelta
 from pathlib import Path
 from time import sleep, time_ns
 
@@ -19,7 +19,7 @@ import pytest
 from mpe import gateway, ioutil, pipeline, prompts
 from mpe.baselines import GbdtParams
 from mpe.config import encode
-from mpe.decomposition import BaselineConfig
+from mpe.decomposition import BaselineConfig, read_decomposition_csv
 from mpe.errors import (
     ConfigError,
     FallbackBudgetError,
@@ -28,7 +28,7 @@ from mpe.errors import (
     StageError,
     TransportError,
 )
-from mpe.events import EventRecord, parse_event_records
+from mpe.events import parse_event_records
 from mpe.gateway import BackendConfig, CachingBackend, ScriptedBackend
 from mpe.geo import GeoPoint
 from mpe.heuristic import HeuristicBackend
@@ -39,16 +39,13 @@ from mpe.pipeline import (
     artifact_path,
     build_backend,
     load_manifest,
-    plan_stage,
-    predict_next_day,
+    plan_pipeline,
     run_pipeline,
     run_stage,
     _STAGE_DEFS,
 )
 from mpe.prompts import DEFAULT_TEMPLATES, AblationConfig, DemandFeatures, EventFeatures
-from mpe.trips import DailyDemand, DateRange, VenueConfig
-
-from prompt_fixtures import BASE_IN, BASE_OUT
+from mpe.trips import DateRange, VenueConfig
 
 VENUE = VenueConfig("Test Arena", GeoPoint(40.7, -73.95))
 
@@ -155,70 +152,47 @@ def test_unknown_stage_rejected(small_config):
         run_stage("transmogrify", small_config)
 
 
-# --- predict_next_day ----------------------------------------------------------------
+# --- the predict stage, one target day -------------------------------------------------
 
 
-def _flat_history(end: date, days: int = 90, multi_effects=()):
-    """Noise-free weekday-base demand; optional (date, d_out, d_in) bumps."""
-    bumps = {d: (a, b) for d, a, b in multi_effects}
-    series = {}
-    for i in range(days):
-        day = end - timedelta(days=i)
-        out = BASE_OUT[day.weekday()]
-        inn = BASE_IN[day.weekday()]
-        if day in bumps:
-            out += bumps[day][0]
-            inn += bumps[day][1]
-        series[day] = DailyDemand(day, out, inn)
-    return series
+TARGET = date(2021, 7, 2)
 
 
-TARGET = date(2014, 7, 25)  # Friday
-CONCERT_YESTERDAY = EventRecord(
-    "Aurora Vale Live in Concert", None, TARGET - timedelta(days=1),
-    time(19, 30), time(22, 30),
-)
-CONCERT_TARGET = EventRecord(
-    "Aurora Vale Live in Concert", None, TARGET, time(19, 30), time(22, 30),
-)
-
-
-def test_predict_next_day_with_scripted_reply(tmp_path):
-    history = _flat_history(TARGET - timedelta(days=1),
-                            multi_effects=[(TARGET - timedelta(days=1), 231, 146)])
-    catalog = [CONCERT_YESTERDAY, CONCERT_TARGET]
-    config = _minimal_config(
-        tmp_path, ablation=AblationConfig(EventFeatures.C, DemandFeatures.R_I)
+@pytest.fixture(scope="module")
+def decomposed(small_config, tmp_path_factory) -> PipelineConfig:
+    """`ingest` and `decompose` run for a test range of the one day TARGET."""
+    config = replace(
+        small_config,
+        output_dir=tmp_path_factory.mktemp("decomposed") / "out",
+        test_range=DateRange(TARGET, TARGET),
+        ablation=AblationConfig(EventFeatures.NA, DemandFeatures.R_I),
+        cache_dir=None,
     )
+    run_stage("ingest", config)
+    run_stage("decompose", config)
+    return config
+
+
+def _predict(decomposed, tmp_path, backend):
+    """Run `predict` on a copy of the decomposed output directory."""
+    config = replace(decomposed, output_dir=tmp_path / "out")
+    shutil.copytree(decomposed.output_dir, config.output_dir)
+    result = run_stage("predict", config, backend)
+    detail = json.loads(artifact_path(config, "predictions_detail").read_text())
+    return config, result.stats, detail
+
+
+def test_predict_writes_a_scripted_reply(decomposed, tmp_path):
     backend = ScriptedBackend({
         f"Next day: {TARGET.isoformat()}":
-            "[pickup] 562 [dropoff] 353 [reasoning] A similar concert yesterday "
-            "raised pickups by 231 and dropoffs by 146 over the 331/207 baseline.",
+            "[pickup] 562 [dropoff] 353 [reasoning] A concert raises demand.",
     })
-    result = predict_next_day(history, catalog, TARGET, config, backend)
-    assert (result.pickup, result.dropoff) == (562, 353)
-    assert result.date == TARGET
-
-
-def test_predict_next_day_heuristic_uses_baseline_plus_matched_deviation(tmp_path):
-    history = _flat_history(TARGET - timedelta(days=1),
-                            multi_effects=[(TARGET - timedelta(days=1), 231, 146)])
-    catalog = [CONCERT_YESTERDAY, CONCERT_TARGET]
-    config = _minimal_config(
-        tmp_path, ablation=AblationConfig(EventFeatures.C_T_H, DemandFeatures.R_I)
-    )
-    backend = build_backend(config)
-    result = predict_next_day(history, catalog, TARGET, config, backend)
-    # Friday baseline 331/207; yesterday's concert deviation ~(+231, +146)
-    assert abs(result.pickup - 562) <= 3
-    assert abs(result.dropoff - 353) <= 3
-
-
-def test_predict_next_day_insufficient_history(tmp_path):
-    history = _flat_history(TARGET - timedelta(days=1), days=10)
-    config = _minimal_config(tmp_path)
-    with pytest.raises(ValueError, match="insufficient history"):
-        predict_next_day(history, [], TARGET, config, ScriptedBackend({}))
+    config, stats, detail = _predict(decomposed, tmp_path, backend)
+    assert (detail["date"], detail["pickup"], detail["dropoff"]) == ("2021-07-02", 562, 353)
+    assert detail["fallback"] is False and stats["fallbacks"] == 0
+    assert artifact_path(config, "predictions").read_text().splitlines()[1:] == [
+        f"2021-07-02,562,353,{pipeline.LLM_MODEL_NAME}"
+    ]
 
 
 class _FlakyBackend(ScriptedBackend):
@@ -235,46 +209,40 @@ class _FlakyBackend(ScriptedBackend):
         return self._reply(request, "[pickup] 400 [dropoff] 250 [reasoning] fixed")
 
 
-def test_malformed_reply_reprompts_once_then_succeeds(tmp_path):
-    history = _flat_history(TARGET - timedelta(days=1))
-    config = _minimal_config(
-        tmp_path, ablation=AblationConfig(EventFeatures.NA, DemandFeatures.R_I)
-    )
+def test_malformed_reply_reprompts_once_then_succeeds(decomposed, tmp_path):
     backend = _FlakyBackend()
-    result = predict_next_day(history, [], TARGET, config, backend)
-    assert (result.pickup, result.dropoff) == (400, 250)
-    assert len(backend.requests) == 2
+    config, stats, detail = _predict(decomposed, tmp_path, backend)
+    assert (detail["pickup"], detail["dropoff"], detail["fallback"]) == (400, 250, False)
+    assert len(backend.requests) == 2 and stats["parse_failures"] == 1
     retry = backend.requests[1]
     assert retry.messages[:-1] == backend.requests[0].messages
     assert retry.messages[-1].content.startswith("Reminder: reply in exactly this form")
 
 
-def test_two_malformed_replies_fall_back_to_baseline(tmp_path):
-    history = _flat_history(TARGET - timedelta(days=1))
-    config = _minimal_config(
-        tmp_path, ablation=AblationConfig(EventFeatures.NA, DemandFeatures.R_I)
-    )
+def test_two_malformed_replies_fall_back_to_baseline(decomposed, tmp_path):
     backend = ScriptedBackend({"Task: predict the daily taxi travel demand": "still no tags"})
-    result = predict_next_day(history, [], TARGET, config, backend)
-    assert result.reasoning == "fallback: baseline"
-    # flat history: Friday baseline is exactly the weekday base
-    assert (result.pickup, result.dropoff) == (BASE_OUT[4], BASE_IN[4])
-    assert backend.call_count == 2
-
-
-def test_cache_makes_identical_predictions_single_call(tmp_path):
-    history = _flat_history(TARGET - timedelta(days=1))
-    config = _minimal_config(
-        tmp_path, ablation=AblationConfig(EventFeatures.NA, DemandFeatures.R_I)
+    config, stats, detail = _predict(decomposed, tmp_path, backend)
+    (row,) = [r for r in read_decomposition_csv(artifact_path(config, "decomposition"))
+              if r.date == TARGET]
+    assert detail["reasoning"] == "fallback: baseline" and detail["fallback"] is True
+    assert (detail["pickup"], detail["dropoff"]) == (
+        prompts.round_half_up(row.baseline.outflow), prompts.round_half_up(row.baseline.inflow)
     )
+    assert backend.call_count == 2 and stats["fallbacks"] == 1
+
+
+def test_cache_makes_identical_predictions_single_call(decomposed, tmp_path):
     inner = ScriptedBackend({
         f"Next day: {TARGET.isoformat()}": "[pickup] 331 [dropoff] 207 [reasoning] quiet day",
     })
     backend = CachingBackend(inner, tmp_path / "cache")
-    first = predict_next_day(history, [], TARGET, config, backend)
-    second = predict_next_day(history, [], TARGET, config, backend)
-    assert first == second
-    assert inner.call_count == 1
+    config, stats, _ = _predict(decomposed, tmp_path, backend)
+    first = artifact_path(config, "predictions").read_bytes()
+    artifact_path(config, "predictions").unlink()
+    again = run_stage("predict", config, backend)
+    assert not again.skipped and again.stats["backend_calls"] == 0
+    assert artifact_path(config, "predictions").read_bytes() == first
+    assert stats["backend_calls"] == inner.call_count == 1
     assert backend.hits == 1
 
 
@@ -415,11 +383,11 @@ def test_misshapen_manifest_reads_as_no_stages(small_config, tmp_path, text):
     assert run_stage("ingest", config).skipped
 
 
-def test_plan_stage_reports_skip(pipeline_run):
+def test_plan_reports_skips_after_a_run(pipeline_run):
     config, _ = pipeline_run
-    plan = plan_stage("predict", config)
-    assert plan["would_skip"] is True
-    assert plan["blocked"] == []
+    plans = plan_pipeline(config, pipeline.DEFAULT_RUN_STAGES)
+    assert [p["stage"] for p in plans] == list(pipeline.DEFAULT_RUN_STAGES)
+    assert all(p["would_skip"] and p["blocked"] == [] for p in plans)
 
 
 def test_predictions_are_in_date_order(pipeline_run):
@@ -1401,7 +1369,7 @@ def _assert_first_skip_records_trip_file(config, short_margin, opens, saves) -> 
     assert _stat_record(config, config.trip_source) is None
     short_margin()
     saves.clear()
-    assert plan_stage("ingest", config)["would_skip"]
+    assert plan_pipeline(config, ["ingest"])[0]["would_skip"]
     assert saves == [] and _stat_record(config, config.trip_source) is None
     assert run_stage("ingest", config).skipped
     assert _stat_record(config, config.trip_source) is not None
