@@ -26,7 +26,7 @@ from typing import Mapping, NamedTuple
 from urllib.parse import unquote, urlsplit
 
 from .errors import BackendError, ConfigError, MissingScriptError, ProtocolError, TransportError
-from .ioutil import atomic_write_bytes, read_text
+from .ioutil import atomic_write_bytes, open_append, read_text
 
 ROLES = ("system", "user", "assistant")
 FINISH_REASONS = ("stop", "length", "error")
@@ -132,6 +132,8 @@ def canonical_serialization(request: ChatRequest) -> str:
 class ChatBackend:
     """Interface: complete one chat request."""
 
+    namespace = "default"  # who answers; a response store keeps each one's replies apart
+
     def complete(self, request: ChatRequest) -> ChatResponse:
         raise NotImplementedError
 
@@ -158,6 +160,8 @@ class HttpBackend(ChatBackend):
             )
         url = urlsplit(config.base_url)
         self._path = url.path.rstrip("/") + "/v1/chat/completions"
+        named = f"{url.scheme}://{url.hostname}:{url.port}{self._path}".encode()
+        self.namespace = "live-" + hashlib.sha256(named).hexdigest()
         self._headers = {"Authorization": f"Bearer {self.api_key}",
                          "Content-Type": "application/json"}
         self._connect = partial(http.client.HTTPConnection, timeout=config.timeout_s)
@@ -287,6 +291,8 @@ class ScriptedBackend(ChatBackend):
                    if len(k) == 64 and set(k.lower()) <= set("0123456789abcdef")}
         self.script = {digests.get(k, k): v for k, v in script.items()}
         self._digest_keys = set(digests.values())
+        named = json.dumps(dict(script), sort_keys=True).encode()
+        self.namespace = "mock-" + hashlib.sha256(named).hexdigest()
         self.call_count = 0
         self._lock = threading.Lock()
 
@@ -336,70 +342,104 @@ class ScriptedBackend(ChatBackend):
 class CachingBackend(ChatBackend):
     """Overlay that serves stored responses and delegates on a miss.
 
-    Entries live at `<store>/sha256/<first-2-hex>/<digest>.json`, holding the
-    request and response verbatim. Writes go through
-    `ioutil.atomic_write_bytes`, so concurrent writers of one entry leave one
-    whole file, and a shard directory is made when a write finds it missing;
-    a corrupted entry is treated as a miss and overwritten.
+    Entries are lines `<digest> <{"request", "response"} JSON>` in segments
+    `<store>/<inner.namespace>/log/*.jsonl`. Each instance appends one line
+    per miss to a segment of its own; the last whole line of a key wins, and
+    a torn or unparseable one is a miss, fetched and appended again. A `live`
+    store adopts once the entries of the older `sha256/<2-hex>/` layout.
     """
 
     def __init__(self, inner: ChatBackend, store: Path | str):
         self.inner = inner
         self.store = Path(store)
+        self.log = self.store / getattr(inner, "namespace", ChatBackend.namespace) / "log"
         try:
-            (self.store / "sha256").mkdir(parents=True, exist_ok=True)
+            self.log.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cache store not writable: {exc}") from exc
-        if not os.access(self.store / "sha256", os.W_OK):
+        if not os.access(self.log, os.W_OK):
             raise ConfigError(f"cache store not writable: {self.store}")
-        self.hits = 0
-        self.misses = 0
+        legacy, adopted = self.store / "sha256", self.log / "0-sha256.jsonl"  # sorts first
+        if isinstance(inner, HttpBackend) and legacy.is_dir() and not adopted.exists():
+            atomic_write_bytes(adopted, b"".join(  # each old entry is one line of compact JSON
+                b"%s %s\n" % (p.stem.encode(), p.read_bytes()) for p in sorted(legacy.glob("*/*"))))
+        self._index = _index_log(self.log)  # digest -> (segment, offset, length)
+        self._fd: int | None = None  # this instance's segment, opened on its first miss
+        self.hits = self.misses = 0
         self._lock = threading.Lock()
 
-    def _path(self, digest: str) -> Path:
-        return self.store / "sha256" / digest[:2] / f"{digest}.json"
-
     def close(self) -> None:
+        self._close_segment()
         self.inner.close()
+
+    def _close_segment(self) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         digest = request.digest
-        path = self._path(digest)
-        cached = self._load(path)
-        if cached is not None:
+        entry = self._index.get(digest)
+        cached = entry and _read_entry(digest, *entry)
+        if cached:
             with self._lock:
                 self.hits += 1
-            return cached
+            return cached[1]
         response = self.inner.complete(request)
+        doc = {"request": canonical_payload(request), "response": {
+            "content": response.content, "finish_reason": response.finish_reason,
+            "usage": response.usage._asdict()}}
+        line = f"{digest} {json.dumps(doc, sort_keys=True, separators=(',', ':'))}\n".encode()
         with self._lock:
             self.misses += 1
-        self._write(path, request, response)
+            if self._fd is None or os.fstat(self._fd).st_nlink == 0:  # none yet, or removed
+                self._close_segment()
+                self._segment = self.log / f"{time.time_ns():020d}-{os.urandom(6).hex()}.jsonl"
+                self._fd = open_append(self._segment)
+            try:
+                if os.write(self._fd, line) != len(line):
+                    raise OSError(f"short write to {self._segment}")
+            except BaseException:
+                self._close_segment()  # a torn line ends its segment; later lines start another
+                raise
+            end = os.lseek(self._fd, 0, os.SEEK_CUR)  # an append leaves the offset at the end
+            self._index[digest] = (self._segment, end - len(line), len(line))
         return response
 
-    @staticmethod
-    def _load(path: Path) -> ChatResponse | None:
-        try:
-            resp = json.loads(read_text(path))["response"]
-            return ChatResponse(
-                content=resp["content"],
-                finish_reason=resp["finish_reason"],
-                usage=TokenUsage(
-                    resp["usage"]["prompt_tokens"], resp["usage"]["completion_tokens"]
-                ),
-            )
-        except (OSError, ValueError, KeyError, TypeError):
-            return None  # absent or corrupted: a miss, fetched and overwritten
 
-    def _write(self, path: Path, request: ChatRequest, response: ChatResponse) -> None:
-        doc = {
-            "request": canonical_payload(request),
-            "response": {
-                "content": response.content,
-                "finish_reason": response.finish_reason,
-                "usage": {
-                    "prompt_tokens": response.usage.prompt_tokens,
-                    "completion_tokens": response.usage.completion_tokens,
-                },
-            },
-        }
-        atomic_write_bytes(path, json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
+def _index_log(log: Path) -> dict[str, tuple[Path, int, int]]:
+    """Digest -> (segment, offset, length) of each key's last whole line, parsing no JSON."""
+    index = {}
+    for segment in sorted(log.glob("*.jsonl")):
+        offset = 0
+        with open(segment, "rb") as fh:
+            for line in fh:
+                if line.endswith(b"\n") and line[64:65] == b" ":
+                    index[line[:64].decode("latin-1")] = (segment, offset, len(line))
+                offset += len(line)
+    return index
+
+
+def _read_entry(digest: str, segment: Path, offset: int, length: int):
+    """(request, response) on one indexed line; None if it is gone or unparseable."""
+    try:
+        with open(segment, "rb") as fh:
+            fh.seek(offset)
+            line = fh.read(length)
+        if line[:65] != f"{digest} ".encode():
+            raise ValueError("the line moved")
+        doc = json.loads(line[65:])
+        resp = doc["response"]
+        return doc["request"], ChatResponse(
+            resp["content"], resp["finish_reason"], TokenUsage(**resp["usage"]))
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
+def read_store(store: Path | str):
+    """Yield (namespace, digest, request, response) for each entry of the
+    response store at `store`, as a `CachingBackend` opened on it sees them."""
+    for log in sorted(Path(store).glob("*/log")):
+        for digest, entry in _index_log(log).items():
+            if read := _read_entry(digest, *entry):
+                yield (log.parent.name, digest, *read)

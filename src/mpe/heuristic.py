@@ -18,6 +18,7 @@ from .gateway import ChatBackend, ChatRequest, ChatResponse, TokenUsage
 from .parsing import render_prediction_reply
 from .prompts import round_half_up
 
+VERSION = 1  # raise it when a reply changes, so no response store serves an old one
 _HISTORY_RI = re.compile(
     r"^(\d{4}-\d{2}-\d{2}) \((\w+)\) \| baseline out (\d+) in (\d+)"
     r" \| deviation out ([+-]\d+) in ([+-]\d+)(.*)$"
@@ -106,6 +107,8 @@ def _mean(pairs):
 
 class HeuristicBackend(ChatBackend):
     """Answers this package's prompts with deterministic rules."""
+
+    namespace = f"heuristic-{VERSION}"
 
     def __init__(self):
         self.call_count = 0

@@ -1,6 +1,6 @@
 """The one place that reads and writes text: UTF-8 whatever the locale, CSV
-in csv.writer's default dialect both ways, and every artifact, cache entry
-and manifest written to a temp file, then renamed onto no file."""
+in csv.writer's default dialect both ways, every artifact and manifest written
+to a temp file, then renamed onto no file, and store segments appended to."""
 
 from __future__ import annotations
 
@@ -39,6 +39,12 @@ def atomic_write_bytes(path, data: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def open_append(path) -> int:
+    """A new file at `path`, mode 0600, open to append only; its parent is made if missing."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND, 0o600)
 
 
 def atomic_write_text(path, text: str) -> None:

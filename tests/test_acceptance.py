@@ -25,7 +25,7 @@ import pytest
 from mpe.decomposition import BaselineConfig, Flows, decompose, recompose, weekday_baseline
 from mpe.errors import MalformedReplyError
 from mpe.events import DayEvents, EventRecord
-from mpe.gateway import CachingBackend, ScriptedBackend
+from mpe.gateway import CachingBackend, ScriptedBackend, read_store
 from mpe.geo import GeoPoint, haversine_m
 from mpe.metrics import compute_metrics
 from mpe.baselines import GbdtParams, fit_gbdt, fit_linear, predict_gbdt
@@ -222,9 +222,8 @@ def test_criterion_5_deterministic_end_to_end(bundled_dataset):
         )
         run_pipeline(seed_config)
         script = {}
-        for path in (bundled_dataset / "seed_cache" / "sha256").rglob("*.json"):
-            entry = json.loads(path.read_text())
-            script[path.stem] = entry["response"]["content"]
+        for _, digest, _, response in read_store(bundled_dataset / "seed_cache"):
+            script[digest] = response.content
         script_path = bundled_dataset / "mock_script.json"
         script_path.write_text(json.dumps(script, sort_keys=True))
 
@@ -245,7 +244,7 @@ def test_criterion_5_deterministic_end_to_end(bundled_dataset):
 
         # one backend call per unique prompt, verified through the cache
         unique_prompts = len(script)
-        cached_entries = len(list((cache_dir / "sha256").rglob("*.json")))
+        cached_entries = len(list(read_store(cache_dir)))
         assert calls_after_first == unique_prompts == cached_entries
         assert scripted.call_count == calls_after_first  # second run fully cached
 
@@ -259,8 +258,8 @@ def test_criterion_5_deterministic_end_to_end(bundled_dataset):
         # causality audit: no prompt consumed data dated at/after its target
         details = (run_a.output_dir / "predictions.jsonl").read_text().splitlines()
         by_digest = {}
-        for path in (cache_dir / "sha256").rglob("*.json"):
-            by_digest[path.stem] = json.loads(path.read_text())["request"]
+        for _, digest, request, _ in read_store(cache_dir):
+            by_digest[digest] = request
         import re as _re
         for line in details:
             doc = json.loads(line)

@@ -2,7 +2,6 @@
 against a local stub server."""
 
 import http.client
-import itertools
 import json
 import os
 import random
@@ -37,6 +36,7 @@ from mpe.gateway import (
     TokenUsage,
     canonical_payload,
     canonical_serialization,
+    read_store,
 )
 
 from conftest import YieldingCallCount
@@ -222,17 +222,23 @@ def test_cache_hit_never_invokes_inner(tmp_path):
     assert backend.hits == 1 and backend.misses == 1
 
 
+def _segments(store):
+    return sorted(store.glob("*/log/*.jsonl"))
+
+
 def test_cache_layout(tmp_path):
     store = tmp_path / "store"
     backend = CachingBackend(CountingBackend(), store)
     request = _request("layout probe")
     backend.complete(request)
     digest = request.digest
-    path = store / "sha256" / digest[:2] / f"{digest}.json"
-    assert path.exists()
-    doc = json.loads(path.read_text())
-    assert doc["request"]["model"] == "gpt-4"
-    assert doc["response"]["content"] == "cached reply"
+    [segment] = _segments(store)
+    assert segment.parent == store / "default" / "log"
+    assert segment.read_text().startswith(f"{digest} ")
+    [(namespace, key, stored, response)] = read_store(store)
+    assert (namespace, key) == ("default", digest)
+    assert stored["model"] == "gpt-4"
+    assert response.content == "cached reply"
 
 
 def test_corrupted_entry_is_refetched_and_overwritten(tmp_path):
@@ -242,23 +248,30 @@ def test_corrupted_entry_is_refetched_and_overwritten(tmp_path):
     request = _request("heal me")
     backend.complete(request)
     digest = request.digest
-    path = store / "sha256" / digest[:2] / f"{digest}.json"
-    path.write_text("{ corrupted")
+    [segment] = _segments(store)
+    segment.write_text(f"{digest} {{ corrupted\n")
     response = backend.complete(request)
     assert response.content == "cached reply"
     assert inner.calls == 2
-    assert json.loads(path.read_text())["response"]["content"] == "cached reply"
+    [(_, key, _, stored)] = read_store(store)
+    assert key == digest and stored.content == "cached reply"
+    assert CachingBackend(CountingBackend("other"), store).complete(request).content \
+        == "cached reply"
 
 
 def test_cache_entry_bytes_mode_and_no_temp_files(tmp_path):
     store = tmp_path / "store"
     CachingBackend(CountingBackend(), store).complete(_request("mode probe"))
     digest = _request("mode probe").digest
-    path = store / "sha256" / digest[:2] / f"{digest}.json"
-    doc = json.loads(path.read_bytes())
-    assert path.read_bytes() == json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    assert path.stat().st_mode & 0o777 == 0o600
-    assert [p.name for p in (store / "sha256").rglob("*") if p.is_file()] == [path.name]
+    [segment] = _segments(store)
+    [(_, _, request, response)] = read_store(store)
+    doc = {"request": request, "response": {
+        "content": response.content, "finish_reason": response.finish_reason,
+        "usage": {"prompt_tokens": 1, "completion_tokens": 1}}}
+    line = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert segment.read_bytes() == f"{digest} {line}\n".encode()
+    assert segment.stat().st_mode & 0o777 == 0o600
+    assert [p for p in store.rglob("*") if p.is_file()] == [segment]
 
 
 def test_two_threads_writing_one_entry_leave_one_whole_file(tmp_path):
@@ -281,17 +294,19 @@ def test_two_threads_writing_one_entry_leave_one_whole_file(tmp_path):
     for t in threads:
         t.join()
     assert inner.calls == 2 and backend.misses == 2
-    files = [p for p in (store / "sha256").rglob("*") if p.is_file()]
-    assert [p.name for p in files] == [f"{_request('race').digest}.json"]
-    assert json.loads(files[0].read_text())["response"]["content"] == "cached reply"
+    [segment] = _segments(store)
+    assert all(json.loads(line.split(" ", 1)[1]) for line in segment.read_text().splitlines())
+    entries = list(read_store(store))
+    assert [key for _, key, _, _ in entries] == [_request("race").digest]
+    assert entries[0][3].content == "cached reply"
     assert CachingBackend(CountingBackend("other"), store).complete(_request("race")).content \
         == "cached reply"
 
 
-def test_each_shard_directory_is_created_once(tmp_path, monkeypatch):
+def test_eight_threads_append_every_entry_whole(tmp_path):
     store = tmp_path / "store"
     backend = CachingBackend(CountingBackend(), store)
-    requests = [_request(f"shard {i}") for i in range(400)]
+    requests = [_request(f"thread {i}") for i in range(400)]
 
     def work(k):  # eight threads on two cores, each on its own 50 requests
         for request in requests[k::8]:
@@ -308,42 +323,88 @@ def test_each_shard_directory_is_created_once(tmp_path, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    shards = {r.digest[:2] for r in requests}
-    assert {p.name for p in (store / "sha256").iterdir()} == shards
-
-    # New requests into the shards that now exist make no directory.
-    made = []
-    mkdir = os.mkdir
-
-    def counting(path, *args, **kwargs):
-        made.append(str(path))
-        return mkdir(path, *args, **kwargs)
-
-    fresh = [r for r in map(_request, (f"again {i}" for i in range(400)))
-             if r.digest[:2] in shards]
-    monkeypatch.setattr(os, "mkdir", counting)
-    for request in fresh + requests[:50]:
-        backend.complete(request)
-    assert made == []
-    assert backend.misses == 400 + len(fresh) and backend.hits == 50
-    assert all(backend._path(r.digest).is_file() for r in fresh)
+    assert backend.misses == 400 and len(_segments(store)) == 1
+    assert all(backend.complete(r).content == "cached reply" for r in requests)
+    assert backend.hits == 400
+    backend.close()
+    assert {key for _, key, _, _ in read_store(store)} == {r.digest for r in requests}
+    inner = CountingBackend("other")
+    reopened = CachingBackend(inner, store)
+    assert all(reopened.complete(r).content == "cached reply" for r in requests)
+    assert inner.calls == 0
 
 
-def test_entry_is_written_after_its_shard_directory_is_removed(tmp_path):
+def test_entry_is_written_after_its_log_directory_is_removed(tmp_path):
     store = tmp_path / "store"
     backend = CachingBackend(CountingBackend(), store)
-    by_shard = {}
-    for i in itertools.count():
-        request = _request(f"pair {i}")
-        first = by_shard.setdefault(request.digest[:2], request)
-        if first is not request:
-            break
+    first, request = _request("pair 0"), _request("pair 1")
     backend.complete(first)
-    shutil.rmtree(store / "sha256" / first.digest[:2])
+    shutil.rmtree(store / "default" / "log")
     assert backend.complete(request).content == "cached reply"
-    assert backend._path(request.digest).is_file()
+    assert [key for _, key, _, _ in read_store(store)] == [request.digest]
     assert CachingBackend(CountingBackend("other"), store).complete(request).content \
         == "cached reply"
+
+
+def test_a_segment_cut_mid_line_misses_only_the_torn_entry(tmp_path):
+    store = tmp_path / "store"
+    requests = [_request(f"cut {i}") for i in range(3)]
+    backend = CachingBackend(CountingBackend(), store)
+    for request in requests:
+        backend.complete(request)
+    backend.close()
+    [segment] = _segments(store)
+    data = segment.read_bytes()
+    segment.write_bytes(data[:len(data) - 40])  # into the last line
+    inner = CountingBackend("refetched")
+    reopened = CachingBackend(inner, store)
+    assert [reopened.complete(r).content for r in requests] == \
+        ["cached reply", "cached reply", "refetched"]
+    assert inner.calls == 1 and reopened.hits == 2
+    assert {key: response.content for _, key, _, response in read_store(store)} == {
+        requests[0].digest: "cached reply", requests[1].digest: "cached reply",
+        requests[2].digest: "refetched",
+    }
+
+
+def test_backends_opened_one_after_the_other_see_each_others_entries(tmp_path):
+    store = tmp_path / "store"
+    one, two = _request("one"), _request("two")
+    first = CachingBackend(CountingBackend("first"), store)
+    assert first.complete(one).content == "first"
+    first.close()
+    second = CachingBackend(CountingBackend("second"), store)
+    assert second.complete(one).content == "first"
+    assert second.complete(two).content == "second"
+    second.close()
+    inner = CountingBackend("third")
+    third = CachingBackend(inner, store)
+    assert [third.complete(r).content for r in (one, two)] == ["first", "second"]
+    assert inner.calls == 0 and len(_segments(store)) == 2
+
+
+def test_a_failed_write_leaves_the_lines_after_it_whole(tmp_path, monkeypatch):
+    store = tmp_path / "store"
+    requests = [_request(f"write {i}") for i in range(3)]
+    backend = CachingBackend(CountingBackend(), store)
+    backend.complete(requests[0])
+    write = os.write
+
+    def torn(fd, data):  # half the line reaches the disk, then the disk is full
+        write(fd, data[:len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "write", torn)
+        with pytest.raises(OSError):
+            backend.complete(requests[1])
+    backend.complete(requests[2])
+    backend.close()
+    inner = CountingBackend("refetched")
+    reopened = CachingBackend(inner, store)
+    assert [reopened.complete(r).content for r in requests] == \
+        ["cached reply", "refetched", "cached reply"]
+    assert inner.calls == 1
 
 
 def test_cache_transparency_cold_store(tmp_path):
