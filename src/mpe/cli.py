@@ -93,6 +93,8 @@ def _run_stages(args, stages) -> int:
             status = "skip" if plan["would_skip"] else "run"
             if plan["blocked"]:
                 status = "blocked"
+            elif not plan["reached"]:
+                status = "not reached"
             print(f"{plan['stage']}: {status}")
             for line in plan["blocked"]:
                 print(f"  blocked: {line}")

@@ -126,14 +126,6 @@ def decompose(actual: DailyDemand, baseline: Flows) -> DemandDecomposition:
     return DemandDecomposition(actual.date, actual, baseline, deviation)
 
 
-def recompose(decomposition: DemandDecomposition) -> Flows:
-    """baseline + deviation; equals the stored actual exactly."""
-    return Flows(
-        decomposition.baseline.outflow + decomposition.deviation.outflow,
-        decomposition.baseline.inflow + decomposition.deviation.inflow,
-    )
-
-
 DECOMPOSITION_COLUMNS = [
     "date", "actual_out", "actual_in",
     "baseline_out", "baseline_in", "dev_out", "dev_in",

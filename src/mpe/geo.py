@@ -25,14 +25,9 @@ class GeoPoint:
             raise ValueError(f"longitude out of range [-180, 180]: {self.lon}")
 
 
-def haversine_m(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance in meters on a sphere of radius 6,371,000 m."""
-    return haversine_deg_m(a.lat, a.lon, b.lat, b.lon)
-
-
 def haversine_deg_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """haversine_m from (lat1, lon1) to (lat2, lon2) in degrees, for callers
-    that hold bare coordinates and need no GeoPoint validation."""
+    """Great-circle distance in meters, on a sphere of radius 6,371,000 m,
+    from (lat1, lon1) to (lat2, lon2) in degrees."""
     phi1 = math.radians(lat1)
     phi2 = math.radians(lat2)
     dphi = math.radians(lat2 - lat1)
@@ -68,20 +63,20 @@ class BoundingBox(NamedTuple):
 
 
 # Widening of the angular radius: far above the rounding error of
-# haversine_m, far below any radius a venue uses.
+# haversine_deg_m, far below any radius a venue uses.
 _BOX_MARGIN_REL = 1e-6
 _BOX_MARGIN_RAD = 1e-9
 
 
 def bounding_box(center: GeoPoint, radius_m: float) -> BoundingBox:
-    """A box holding every point whose haversine_m to `center` is <= radius_m.
+    """A box holding every point whose haversine_deg_m to `center` is <= radius_m.
 
     With angular radius d = radius_m / R, a point on the circle lies within
     d of the center's latitude, and within asin(sin d / cos lat0) of its
     longitude (the circle's tangent meridians). The radius is widened by a
     small margin so rounding cannot put an in-radius point outside. The
     longitude bound is dropped when the circle reaches a pole or the range
-    crosses +/-180 degrees, since haversine_m does not wrap longitudes.
+    crosses +/-180 degrees, since haversine_deg_m does not wrap longitudes.
     """
     d = radius_m / EARTH_RADIUS_M * (1.0 + _BOX_MARGIN_REL) + _BOX_MARGIN_RAD
     dlat = math.degrees(d)

@@ -17,7 +17,6 @@ import hashlib
 import json
 import os
 import resource
-import threading
 import time
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, timezone
@@ -58,6 +57,7 @@ from .events import (
     day_events_index,
     parse_event_records,
 )
+from .forking import fork_map
 from .gateway import (
     CachingBackend,
     ChatBackend,
@@ -436,7 +436,7 @@ def _stage_ingest(config: PipelineConfig, _backend) -> dict:
     rejects: list[RejectionNote] = []
     try:
         with open(config.trip_source, "rb") as fh:
-            trips = TripFile(fh, rejects)
+            trips = TripFile(fh, rejects, config.concurrency)
             series = aggregate_daily_demand(trips, config.venue, config.full_range)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read trip source {config.trip_source}: {exc}") from exc
@@ -614,22 +614,9 @@ def _fit_classical(
 
 
 def _fit_gbdts(config: PipelineConfig, X: np.ndarray, targets: Sequence[np.ndarray]) -> tuple:
-    """`fit_gbdt` of `X` on each of `targets`, in order.
-
-    The fits run side by side on `fork`ed workers, up to `concurrency` and
-    the usable CPUs; a spawned worker would import numpy again, about the
-    cost of a fit. With fewer than two workers, or with another live thread
-    (a lock it holds would stay held in the child), they run here in
-    series. The pool joins its workers on exit, after a failed fit too.
-    """
-    workers = min(config.concurrency, len(targets), len(os.sched_getaffinity(0)))
-    if workers < 2 or threading.active_count() != 1:
-        return tuple(fit_gbdt(X, y, config.gbdt) for y in targets)
-    import multiprocessing  # only a run that forks pays for the import
-    context = multiprocessing.get_context("fork")
-    with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
-        futures = [pool.submit(fit_gbdt, X, y, config.gbdt) for y in targets]
-        return tuple(future.result() for future in futures)
+    """`fit_gbdt` of `X` on each of `targets`, in order, side by side on
+    fork workers bounded by `concurrency` (see `fork_map`)."""
+    return tuple(fork_map(fit_gbdt, [(X, y, config.gbdt) for y in targets], config.concurrency))
 
 
 def _classical_ablation(ablation: AblationConfig) -> AblationConfig:
@@ -949,15 +936,17 @@ def plan_pipeline(config: PipelineConfig, stages: Sequence[str]) -> list[dict]:
     """Dry-run view of `run_pipeline(config, stages)`: per stage, whether it
     would skip, what blocks it, and the files it writes. The manifest is read
     once and nothing is saved. A stage that reads an artifact of a stage
-    planned to run is planned to run, unchecked."""
+    planned to run is planned to run, unchecked; one after a blocked stage
+    is not reached, as the run stops there."""
     manifest = load_manifest(config)
     digest = _FileDigests(manifest)
     pending: set[str] = set()  # artifacts of the stages planned to run
-    plans = []
+    plans, reached = [], True
     for stage in stages:
         stage_def = _stage_def(stage)
         up_to_date, blocked = False, []
-        if pending.isdisjoint([*stage_def.reads(config), *stage_def.reads_if_present(config)]):
+        reads = [*stage_def.reads(config), *stage_def.reads_if_present(config)]
+        if reached and pending.isdisjoint(reads):
             try:
                 up_to_date = _check(stage, config, manifest, digest)[1]
             except (ConfigError, PreconditionError) as exc:
@@ -969,7 +958,9 @@ def plan_pipeline(config: PipelineConfig, stages: Sequence[str]) -> list[dict]:
             "outputs": [str(artifact_path(config, n)) for n in stage_def.writes],
             "would_skip": up_to_date,
             "blocked": blocked,
+            "reached": reached,
         })
+        reached = reached and not blocked
     return plans
 
 

@@ -8,9 +8,11 @@ venue-local time. Extra columns are ignored; column order is free.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import itertools
+import os
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
@@ -20,6 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SchemaError
+from .forking import fork_map, fork_workers
 from .geo import GeoPoint, bounding_box, haversine_deg_m, haversine_deg_m_array
 from .ioutil import read_csv, write_csv
 
@@ -322,9 +325,19 @@ class _DayCounts:
         return list(map(DailyDemand, date_range.days(), outflow, inflow))
 
 
+def _line_start(fd: int, pos: int) -> int:
+    """The first line start at or after byte `pos` of file `fd`, or its size."""
+    at = pos - 1
+    while chunk := os.pread(fd, BLOCK_SIZE, at):
+        if (newline := chunk.find(b"\n")) >= 0:
+            return at + newline + 1
+        at += len(chunk)
+    return at
+
+
 class TripFile:
     """A trip CSV opened in binary mode, which aggregate_daily_demand reads
-    in blocks of at most BLOCK_SIZE bytes.
+    in blocks of at most BLOCK_SIZE bytes, on up to `workers` fork workers.
 
     Canonical rows are checked, parsed and counted as numpy arrays; every
     other row goes through iter_trip_rows in file order with its row number.
@@ -332,12 +345,20 @@ class TripFile:
     text leaves them: its rejects, and the number of rows it yields.
     """
 
-    def __init__(self, fh: BinaryIO, rejects: list[RejectionNote]):
+    def __init__(self, fh: BinaryIO, rejects: list[RejectionNote], workers: int = 1):
         self.fh = fh
         self.rejects = rejects
         self.valid = 0
+        self.workers = workers
+        self.switch: int | None = None  # where _block met a quote or a bare CR
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "fh": None}  # a fork worker reads by descriptor
 
     def count_into(self, counts: _DayCounts) -> None:
+        """Count the file into `counts`, here or on fork workers (a range of
+        _ranges each, merged in file order). The first range that met a quote
+        or a bare CR hands the rest to _read_rest; later ones are dropped."""
         head = self.fh.readline()
         line = head.removesuffix(b"\n").removesuffix(b"\r")
         if b'"' in line or b"\r" in line:
@@ -346,17 +367,66 @@ class TripFile:
         header = next(csv.reader([self._header]), None) if head else None
         self._columns = _column_indexes(header)
         self._commas = len(header) - 1
-        offset, row, carry = len(head), 0, b""
-        while row is not None:
-            data = carry + self.fh.read(BLOCK_SIZE)
-            end = len(data) == len(carry)
-            cut = len(data) if end else data.rfind(b"\n") + 1
+        ranges = self._ranges(len(head))
+        if len(ranges) < 2:
+            row = self._count_range(counts, len(head), float("inf"), lambda _, n: self.fh.read(n))
+        else:
+            row, calls = 0, [(counts, self.fh.fileno(), *r) for r in ranges]
+            for part, flows, rows, error in fork_map(self._part, calls, len(calls)):
+                if error is not None:
+                    raise error
+                counts.flows += flows
+                self.valid += part.valid
+                self.rejects += (RejectionNote(r.row + row, r.reason) for r in part.rejects)
+                row += rows
+                self.switch = part.switch
+                if self.switch is not None:
+                    break
+        if self.switch is not None:
+            self._read_rest(counts, self.switch, row)
+
+    def _ranges(self, start: int) -> list[tuple[int, int]]:
+        """Byte ranges covering the file from `start` on, each but the last
+        ending on a newline: as many as fork_workers(workers) allows, at most
+        one per BLOCK_SIZE bytes of the file, and none with no descriptor."""
+        try:
+            fd = self.fh.fileno()
+        except io.UnsupportedOperation:
+            return []
+        size = os.fstat(fd).st_size
+        n = min(fork_workers(self.workers), size // BLOCK_SIZE)
+        cuts = [_line_start(fd, start + (size - start) * k // n) for k in range(1, n)]
+        return [(a, b) for a, b in zip([start, *cuts], [*cuts, size]) if a < b]
+
+    def _part(self, counts: _DayCounts, fd: int, start: int, stop: int) -> tuple:
+        """A fork worker's _count_range on copies of this file and `counts`,
+        by os.pread on `fd` (it shares the parent's file offset): the copies'
+        state, rows numbered, and the UnicodeDecodeError that stopped it."""
+        part, counts = copy.copy(self), copy.copy(counts)
+        part.rejects, part.valid, counts.flows = [], 0, np.zeros_like(counts.flows)
+        try:
+            rows = part._count_range(counts, start, stop, lambda pos, n: os.pread(fd, n, pos))
+        except UnicodeDecodeError as exc:
+            return part, counts.flows, 0, exc
+        return part, counts.flows, rows, None
+
+    def _count_range(self, counts: _DayCounts, start: int, stop: float, read) -> int:
+        """Count the lines from byte `start` to `stop` of the file, which
+        `read(pos, n)` reads, numbering rows from 1, until a line with a quote
+        or bare CR sets `switch`. Returns the rows numbered."""
+        pos, offset, row, carry = start, start, 0, b""
+        while self.switch is None:
+            chunk = read(pos, min(BLOCK_SIZE, stop - pos))
+            pos += len(chunk)
+            data = carry + chunk
+            cut = data.rfind(b"\n") + 1 if chunk else len(data)
             if cut:
                 row = self._block(counts, memoryview(data)[:cut], offset, row)
                 offset += cut
             carry = data[cut:]
-            if end:
+            if not chunk:
                 break
+        return row
 
     def _read_rest(self, counts: _DayCounts, pos: int, row: int) -> None:
         """Read the file from byte `pos` on as csv.reader reads it, numbering
@@ -370,10 +440,10 @@ class TripFile:
         finally:
             text.detach()
 
-    def _block(self, counts: _DayCounts, block: memoryview, offset: int, row: int) -> int | None:
+    def _block(self, counts: _DayCounts, block: memoryview, offset: int, row: int) -> int:
         """Count the lines of `block`, which starts at byte `offset` after
-        `row` numbered rows. Returns the rows numbered by its end, or None
-        once the rest of the file has gone through _read_rest."""
+        `row` numbered rows. Returns the rows numbered by its end, or before
+        a line with a quote or a bare CR, whose offset it puts in `switch`."""
         buf = np.frombuffer(block, np.uint8)
         # Every byte a coordinate field may not hold (all but 0-9 - .): the
         # delimiters, the timestamps' separators and every special byte.
@@ -387,9 +457,9 @@ class TripFile:
         starts = np.concatenate(([0], ends[:-1] + 1))
         crlf = (ends > starts) & (buf[ends - 1] == ord("\r"))
         stops = ends - crlf
-        # A quote or a bare CR sends the rest of the file to _read_rest, since
-        # csv quoting and CR line breaks can span lines; a line with a byte
-        # >= 0x80 goes to iter_trip_rows alone.
+        # A quote or a bare CR stops the block reader, and the rest of the
+        # file goes to _read_rest, since csv quoting and CR line breaks can
+        # span lines; a line with a byte >= 0x80 goes to iter_trip_rows alone.
         special = (code == ord('"')) | (code == ord("\r")) | (code >= 0x80)
         special[delim[newline[crlf]] - 1] = False  # the CR of a CRLF
         marks = at[special]
@@ -399,7 +469,8 @@ class TripFile:
             cut = starts[switch[0]]
             if cut:
                 row = self._block(counts, block[:cut], offset, row)
-            return self._read_rest(counts, offset + cut, row)
+            self.switch = offset + cut
+            return row
 
         nonempty = stops > starts
         numbers = row + np.cumsum(nonempty)

@@ -19,7 +19,8 @@ import numpy as np
 
 from mpe.baselines import GbdtModel, GbdtParams
 from mpe.errors import SchemaError
-from mpe.geo import GeoPoint
+from mpe.decomposition import DemandDecomposition, Flows
+from mpe.geo import GeoPoint, haversine_deg_m
 from mpe.synthetic import TruthDay
 from mpe.trips import REQUIRED_COLUMNS, RejectionNote, TripRecord
 
@@ -34,6 +35,20 @@ def haversine_atan2(lat1, lon1, lat2, lon2):
     dl = math.radians(lon2 - lon1)
     a = math.sin(dp / 2) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2) ** 2
     return EARTH_RADIUS_M * 2 * math.atan2(math.sqrt(a), math.sqrt(1 - a))
+
+
+def haversine_m(a: GeoPoint, b: GeoPoint) -> float:
+    """The package's haversine_deg_m between two GeoPoints: the form the
+    tests compare with haversine_atan2, not an oracle itself."""
+    return haversine_deg_m(a.lat, a.lon, b.lat, b.lon)
+
+
+def recompose(decomposition: DemandDecomposition) -> Flows:
+    """baseline + deviation, which must equal the stored actual exactly."""
+    return Flows(
+        decomposition.baseline.outflow + decomposition.deviation.outflow,
+        decomposition.baseline.inflow + decomposition.deviation.inflow,
+    )
 
 
 def destination_point(lat, lon, bearing, dist_m):

@@ -121,11 +121,12 @@ def _config_with_sources(cli_dataset, tmp_path, **sources) -> str:
 
 def _statuses(capsys, argv) -> dict[str, str]:
     """Stage -> status, from the lines `main(argv)` prints for the stages:
-    a plan's run, skip or blocked, or a run's done (as run) or skipped (as skip)."""
+    a plan's run, skip, blocked or not reached, or a run's done (as run) or
+    skipped (as skip)."""
     assert main(argv) == 0
     lines = [line.split(": ", 1) for line in capsys.readouterr().out.splitlines()
              if not line.startswith(" ")]
-    words = {"done": "run", "skipped": "skip"}
+    words = {"done": "run", "skipped": "skip", "not": "not reached"}
     return {stage: words.get(rest.split()[0], rest.split()[0]) for stage, rest in lines}
 
 
@@ -139,6 +140,17 @@ def test_dry_run_on_a_fresh_directory_plans_every_stage_to_run(cli_dataset, tmp_
     assert _statuses(capsys, ["predict", "--config", config_path, "--dry-run"]) == \
         {"predict": "blocked"}
     assert not (tmp_path / "o").exists()
+
+
+def test_stages_after_a_blocked_one_are_not_reached_in_plan_or_run(cli_dataset, tmp_path, capsys):
+    config_path = _config_with_sources(cli_dataset, tmp_path, event_source=tmp_path / "none.json")
+    plan = _statuses(capsys, ["run", "--config", config_path, "--dry-run"])
+    assert plan == {"ingest": "run", "format_events": "blocked", "decompose": "not reached",
+                    "predict": "not reached", "evaluate": "not reached",
+                    "report": "not reached"}
+    assert main(["run", "--config", config_path]) == 2
+    assert sorted(p.name for p in (tmp_path / "o").glob("*.*")) == \
+        ["daily_demand.csv", "ingest_rejects.jsonl", "manifest.json"]
 
 
 def test_dry_run_after_a_radius_edit_plans_what_the_run_does(cli_dataset, tmp_path, capsys):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpe.geo import EARTH_RADIUS_M, GeoPoint, bounding_box, haversine_deg_m, haversine_m
+from mpe.geo import EARTH_RADIUS_M, GeoPoint, bounding_box, haversine_deg_m
 
-from oracles import destination_point, haversine_atan2
+from oracles import destination_point, haversine_atan2, haversine_m
 
 BARCLAYS = GeoPoint(40.68265, -73.97469)
 BARCLAYS_EAST = GeoPoint(40.68265, -73.97209)

@@ -10,6 +10,7 @@ import contextlib
 import io
 import itertools
 import math
+import os
 import struct
 import tracemalloc
 from datetime import date
@@ -239,6 +240,123 @@ def test_rows_after_a_quote_keep_their_numbers():
         _, rejects, valid = assert_same_ingest(data.encode())
     assert [r.row for r in rejects] == [2, 4, 5]
     assert valid == 2
+
+
+# --- forked ranges ---------------------------------------------------------------------
+
+FORK_BLOCK = 256  # bytes; every case but the short one spans over ten blocks
+_BEFORE = "2014-07-25 10:00:00,2014-07-25 09:00:00,-73.97469,40.68265,-73.9747,40.6827"
+
+
+def _fork_lines(n=60, every=5, extra=""):
+    """n data lines of HEADER's columns plus `extra`, every `every`-th one
+    rejected, so that each range holds rejects."""
+    return [(_BEFORE if i % every == 1 else _GOOD) + extra for i in range(n)]
+
+
+def _with_line(lines, at, line):
+    lines = list(lines)
+    lines[int(len(lines) * at)] = line
+    return lines
+
+
+FORK_CASES = {
+    "quote_in_a_later_range": HEADER + ",note\n" + "\n".join(_with_line(
+        _fork_lines(extra=",x"), 0.8, _GOOD + ',"a\nb",'
+    )) + "\n",
+    "bare_cr_in_a_later_range": HEADER + "\n" + "\n".join(_with_line(
+        _fork_lines(), 0.8, _GOOD + "\r" + _BEFORE
+    )) + "\n",
+    "crlf_and_blank_lines": HEADER + "\r\n" + "".join(
+        line + "\r\n" + "\r\n" * (i % 3) + "\n" * (i % 2) for i, line in enumerate(_fork_lines())
+    ),
+    "rejects_in_every_range": HEADER + "\n" + "\n".join(_fork_lines(every=2)) + "\n",
+    "no_final_newline": HEADER + "\n" + "\n".join(_fork_lines()),
+    "shorter_than_one_block": HEADER + "\n" + _GOOD + "\n",
+}
+
+
+@pytest.fixture
+def fork_pools(pools, monkeypatch):
+    """`pools`, with three CPUs usable whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    return pools
+
+
+def file_ingest(path, workers):
+    rejects = []
+    with open(path, "rb") as fh:
+        source = TripFile(fh, rejects, workers)
+        series = aggregate_daily_demand(source, VENUE, RANGE)
+    return series, rejects, source.valid
+
+
+def _forks(data: bytes, workers: int) -> list:
+    """The pools a forked ingest of `data` on `workers` makes: one of that
+    many workers, or none below two workers or two blocks."""
+    return [(workers,)] if workers > 1 and len(data) >= 2 * FORK_BLOCK else []
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("text", FORK_CASES.values(), ids=FORK_CASES.keys())
+def test_forked_ranges_match_the_serial_reader(fork_pools, tmp_path, text, workers):
+    data = text.encode()
+    path = tmp_path / "trips.csv"
+    path.write_bytes(data)
+    with block_size(FORK_BLOCK):
+        expected = assert_same_ingest(data)
+        assert file_ingest(path, workers) == expected
+    assert fork_pools == _forks(data, workers)
+    assert expected[2] > 0
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_ranges_cover_the_data_and_end_on_newlines(fork_pools, tmp_path, workers):
+    data = FORK_CASES["crlf_and_blank_lines"].encode()
+    path = tmp_path / "trips.csv"
+    path.write_bytes(data)
+    with block_size(FORK_BLOCK), open(path, "rb") as fh:
+        start = len(fh.readline())
+        ranges = TripFile(fh, [], workers)._ranges(start)
+    assert len(ranges) == workers
+    assert [a for a, _ in ranges] == [start] + [b for _, b in ranges[:-1]]
+    assert ranges[-1][1] == len(data)
+    assert all(data[b - 1:b] == b"\n" for _, b in ranges[:-1])
+
+
+def test_fork_cases_put_rejects_and_switches_in_later_ranges():
+    for name, text in FORK_CASES.items():
+        if name == "shorter_than_one_block":
+            continue
+        data = text.encode()
+        with block_size(FORK_BLOCK):
+            _, rejects, _ = block_ingest(data)
+        rows = [r.row for r in rejects]
+        last = max(rows)
+        assert min(rows) < last / 3 and any(last / 3 < r < 2 * last / 3 for r in rows), name
+        for mark in (b'"', b"\r" + _BEFORE.encode()):  # a quote, a bare CR
+            if mark in data:
+                assert data.index(mark) > 2 * len(data) / 3, name
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("quote_first", [False, True], ids=["alone", "after_a_quote"])
+def test_non_utf8_byte_in_a_later_range_raises_as_the_serial_reader(
+    fork_pools, tmp_path, workers, quote_first
+):
+    lines = _with_line(_fork_lines(extra=",x"), 0.8, _GOOD + ",\xff")
+    if quote_first:
+        lines = _with_line(lines, 0.1, _GOOD + ',"q"')
+    data = (HEADER + ",note\n" + "\n".join(lines) + "\n").encode("latin-1")
+    path = tmp_path / "trips.csv"
+    path.write_bytes(data)
+    with block_size(FORK_BLOCK):
+        with pytest.raises(UnicodeDecodeError) as serial:
+            block_ingest(data)
+        with pytest.raises(UnicodeDecodeError) as forked:
+            file_ingest(path, workers)
+    assert str(forked.value) == str(serial.value)
+    assert fork_pools == _forks(data, workers)
 
 
 # --- coordinates: numpy's reader against float ---------------------------------------
