@@ -90,12 +90,7 @@ def _run_stages(args, stages) -> int:
     config = _apply_overrides(config, args)
     if args.dry_run:
         for plan in plan_pipeline(config, stages):
-            status = "skip" if plan["would_skip"] else "run"
-            if plan["blocked"]:
-                status = "blocked"
-            elif not plan["reached"]:
-                status = "not reached"
-            print(f"{plan['stage']}: {status}")
+            print(f"{plan['stage']}: {plan['outcome']}")
             for line in plan["blocked"]:
                 print(f"  blocked: {line}")
             for path in plan["outputs"]:

@@ -3,9 +3,10 @@ predict -> evaluate -> ablate -> report.
 
 Each stage declares the config fields it reads, the files it reads and the
 files it writes (`_STAGE_DEFS`), and records digests of exactly those in
-manifest.json; a stage whose declared inputs and outputs are unchanged is
-skipped. A recorded digest is reused, without reading the file, while the
-file's stat is unchanged (`_FileDigests`). Predictions are one-step-ahead
+manifest.json, an artifact by name and a source by path; one walk (`_walk`)
+skips, for the run and its dry-run plan alike, a stage whose declared inputs
+and outputs are unchanged. A recorded digest is reused, without reading the
+file, while its stat is unchanged (`_FileDigests`). Predictions are one-step-ahead
 over the test range from true observed history, never from the model's own
 prior outputs.
 """
@@ -21,7 +22,7 @@ import time
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -180,7 +181,7 @@ def _stat(path: Path) -> list[int] | None:
 
 class _FileDigests:
     """SHA-256 of files, reusing the digest that the manifest's file table
-    records for a path while the file's stat equals the recorded one.
+    records under a file's key while the file's stat equals the recorded one.
 
     A file that is hashed is recorded in the table, as its stat followed by
     its digest, only if its stat did not change while it was read and its
@@ -192,9 +193,8 @@ class _FileDigests:
         self.files = manifest["files"] = files if isinstance(files, dict) else {}
         self.added = False
 
-    def __call__(self, path: Path) -> str | None:
-        """The file's SHA-256, or None when it does not exist."""
-        key = str(path)
+    def __call__(self, key: str, path: Path) -> str | None:
+        """The SHA-256 of the file at `path`, or None when it does not exist."""
         now = time.time_ns()
         before = _stat(path)
         if before is None:
@@ -769,8 +769,8 @@ class StageDef:
     """What a stage reads and writes; the skip check compares nothing else.
 
     `config` names the PipelineConfig fields the stage reads. Path fields
-    are not among them: the files they name are read, and a file's digest
-    is keyed by its path. `reads` lists files that must exist, as artifact
+    are not among them: the files they name are read, and a source file's
+    digest is keyed by its path. `reads` lists files that must exist, as artifact
     names of earlier stages or as paths; `reads_if_present` lists files
     whose absence is itself an input. `writes` names the artifacts it writes.
     """
@@ -874,22 +874,32 @@ _STAGE_DEFS: dict[str, StageDef] = {
 _PRODUCERS = {name: stage for stage, d in _STAGE_DEFS.items() for name in d.writes}
 
 
-def _stage_def(stage: str) -> StageDef:
-    if stage not in _STAGE_DEFS:
-        raise ConfigError(f"unknown stage: {stage}")
-    return _STAGE_DEFS[stage]
+def _key_path(config: PipelineConfig, item: str | Path) -> tuple[str, Path]:
+    """The manifest key and path of a `reads` or `writes` item: an artifact's
+    name, so a copied or moved output directory keeps its keys, or a source's path."""
+    return (item, artifact_path(config, item)) if isinstance(item, str) else (str(item), item)
 
 
-def _input_digests(
-    stage: str, config: PipelineConfig, digest: _FileDigests
-) -> dict[str, str | None]:
-    """Digests of everything the stage reads; a required file must exist."""
+def _digests(config: PipelineConfig, items: Iterable, digest: _FileDigests) -> dict:
+    return {key: digest(key, path) for key, path in (_key_path(config, i) for i in items)}
+
+
+def _check(
+    stage: str, config: PipelineConfig, manifest: dict, digest: _FileDigests
+) -> tuple[dict, bool]:
+    """The skip check: the stage's state (its config slice, inputs and
+    outputs, as the manifest records them) and whether the stage's entry in
+    `manifest` matches that state. A required input must exist."""
     stage_def = _STAGE_DEFS[stage]
-    digests: dict[str, str | None] = {}
+    config_slice = json.dumps(
+        {name: encode(getattr(config, name)) for name in stage_def.config},
+        sort_keys=True, separators=(",", ":"),
+    )
+    inputs: dict[str, str | None] = {}
     for item in stage_def.reads(config):
-        path = artifact_path(config, item) if isinstance(item, str) else Path(item)
-        digests[str(path)] = digest(path)
-        if digests[str(path)] is not None:
+        key, path = _key_path(config, item)
+        inputs[key] = digest(key, path)
+        if inputs[key] is not None:
             continue
         if isinstance(item, str):
             producer = _PRODUCERS[item]
@@ -898,70 +908,63 @@ def _input_digests(
                 required_stage=producer,
             )
         raise ConfigError(f"{stage}: source file not found: {path}")
-    for item in stage_def.reads_if_present(config):
-        path = artifact_path(config, item) if isinstance(item, str) else Path(item)
-        digests[str(path)] = digest(path)
-    return digests
-
-
-def _output_digests(
-    stage: str, config: PipelineConfig, digest: _FileDigests
-) -> dict[str, str | None]:
-    return {
-        str(artifact_path(config, name)): digest(artifact_path(config, name))
-        for name in _STAGE_DEFS[stage].writes
-    }
-
-
-def _check(
-    stage: str, config: PipelineConfig, manifest: dict, digest: _FileDigests
-) -> tuple[dict, bool]:
-    """The skip check: the stage's state (its config slice, inputs and
-    outputs, as the manifest records them) and whether the stage's entry in
-    `manifest` matches that state."""
-    config_slice = json.dumps(
-        {name: encode(getattr(config, name)) for name in _STAGE_DEFS[stage].config},
-        sort_keys=True, separators=(",", ":"),
-    )
+    inputs.update(_digests(config, stage_def.reads_if_present(config), digest))
     state = {
         "config_slice": hashlib.sha256(config_slice.encode("utf-8")).hexdigest(),
-        "inputs": _input_digests(stage, config, digest),
-        "outputs": _output_digests(stage, config, digest),
+        "inputs": inputs,
+        "outputs": _digests(config, stage_def.writes, digest),
     }
     entry = manifest["stages"].get(stage)
     return state, entry is not None and all(entry.get(key) == value for key, value in state.items())
 
 
-def plan_pipeline(config: PipelineConfig, stages: Sequence[str]) -> list[dict]:
-    """Dry-run view of `run_pipeline(config, stages)`: per stage, whether it
-    would skip, what blocks it, and the files it writes. The manifest is read
-    once and nothing is saved. A stage that reads an artifact of a stage
-    planned to run is planned to run, unchecked; one after a blocked stage
-    is not reached, as the run stops there."""
-    manifest = load_manifest(config)
-    digest = _FileDigests(manifest)
-    pending: set[str] = set()  # artifacts of the stages planned to run
-    plans, reached = [], True
+def _walk(
+    config: PipelineConfig, stages: Sequence[str], manifest: dict, digest: _FileDigests,
+    planning: bool = False,
+) -> Iterator[tuple]:
+    """Check every name, then yield (stage, outcome, detail) per stage: "skip"
+    (up to date) or "run" with the checked state; "blocked" with the error;
+    "not reached", as is each stage after a blocked one. A run resumes the
+    walk once the stage has run, so the next check sees its outputs. A plan
+    (`planning`) runs nothing, so a stage that reads an artifact of a stage
+    planned to run is to run, unchecked (state None)."""
     for stage in stages:
-        stage_def = _stage_def(stage)
-        up_to_date, blocked = False, []
-        reads = [*stage_def.reads(config), *stage_def.reads_if_present(config)]
-        if reached and pending.isdisjoint(reads):
+        if stage not in _STAGE_DEFS:
+            raise ConfigError(f"unknown stage: {stage}")
+    pending: set[str] = set()  # artifacts of the stages planned to run
+    blocked = False
+    for stage in stages:
+        stage_def = _STAGE_DEFS[stage]
+        if blocked:
+            outcome, detail = "not reached", None
+        elif pending and not pending.isdisjoint(
+                [*stage_def.reads(config), *stage_def.reads_if_present(config)]):
+            outcome, detail = "run", None
+        else:
             try:
-                up_to_date = _check(stage, config, manifest, digest)[1]
+                detail, up_to_date = _check(stage, config, manifest, digest)
+                outcome = "skip" if up_to_date else "run"
             except (ConfigError, PreconditionError) as exc:
-                blocked = [str(exc)]
-        if not (up_to_date or blocked):
+                outcome, detail, blocked = "blocked", exc, True
+        if planning and outcome == "run":
             pending.update(stage_def.writes)
-        plans.append({
-            "stage": stage,
-            "outputs": [str(artifact_path(config, n)) for n in stage_def.writes],
-            "would_skip": up_to_date,
-            "blocked": blocked,
-            "reached": reached,
-        })
-        reached = reached and not blocked
-    return plans
+        yield stage, outcome, detail
+
+
+def plan_pipeline(config: PipelineConfig, stages: Sequence[str]) -> list[dict]:
+    """Dry-run view of `run_pipeline(config, stages)`: per stage, its `_walk`
+    outcome, whether it would skip, what blocks it, whether the run reaches
+    it, and the files it writes. The manifest is read once; nothing is saved."""
+    manifest = load_manifest(config)
+    return [{
+        "stage": stage,
+        "outcome": outcome,
+        "outputs": [str(artifact_path(config, n)) for n in _STAGE_DEFS[stage].writes],
+        "would_skip": outcome == "skip",
+        "blocked": [str(detail)] if outcome == "blocked" else [],
+        "reached": outcome != "not reached",
+    } for stage, outcome, detail in _walk(
+        config, stages, manifest, _FileDigests(manifest), planning=True)]
 
 
 def _telemetry(wall: float, cpu: float, children) -> dict:
@@ -995,19 +998,19 @@ def run_pipeline(
     backend: ChatBackend | None = None,
 ) -> list[StageResult]:
     """Run stages in order, each skipped when its declared inputs and outputs
-    are unchanged. The manifest is read once; it is saved after each stage
-    that runs and each skip whose check recorded a file. A given backend is
-    shared and is the caller's to close; otherwise each stage that runs and
-    needs one builds its own and closes it, so a run whose stages all skip
-    needs none."""
-    config.output_dir.mkdir(parents=True, exist_ok=True)
+    are unchanged; the first blocked stage raises. The manifest is read once;
+    it is saved after each stage that runs and each skip whose check recorded
+    a file. A given backend is shared and is the caller's to close; otherwise
+    each stage that runs and needs one builds its own and closes it, so a run
+    whose stages all skip needs none."""
     manifest = load_manifest(config)
     digest = _FileDigests(manifest)
     results = []
-    for stage in stages:
-        stage_def = _stage_def(stage)
-        state, skipped = _check(stage, config, manifest, digest)
-        if not skipped:
+    for stage, outcome, detail in _walk(config, stages, manifest, digest):
+        stage_def = _STAGE_DEFS[stage]
+        if outcome == "blocked":
+            raise detail
+        if outcome == "run":
             started = (time.perf_counter(), time.process_time(),
                        resource.getrusage(resource.RUSAGE_CHILDREN))
             built = stage_def.needs_backend and backend is None
@@ -1021,14 +1024,15 @@ def run_pipeline(
                 if built:
                     stage_backend.close()
             manifest["stages"][stage] = {
-                **state,
-                "outputs": _output_digests(stage, config, digest),
+                **detail,
+                "outputs": _digests(config, stage_def.writes, digest),
                 "stats": stats,
                 **_telemetry(*started),
                 "completed_at": datetime.now(timezone.utc).isoformat(),
             }
-        if digest.added or not skipped:
+        if digest.added or outcome == "run":
             save_manifest(config, manifest)
             digest.added = False
+        skipped = outcome == "skip"
         results.append(StageResult(stage, skipped, manifest["stages"][stage].get("stats", {})))
     return results

@@ -1,13 +1,14 @@
 """CLI: stage commands, overrides, dry-run, and exit codes."""
 
 import json
+import shutil
 from datetime import date
 from pathlib import Path
 
 import pytest
 
 from mpe.cli import main
-from mpe.pipeline import PipelineConfig
+from mpe.pipeline import DEFAULT_RUN_STAGES, PipelineConfig
 
 
 @pytest.fixture(scope="module")
@@ -153,17 +154,61 @@ def test_stages_after_a_blocked_one_are_not_reached_in_plan_or_run(cli_dataset, 
         ["daily_demand.csv", "ingest_rejects.jsonl", "manifest.json"]
 
 
-def test_dry_run_after_a_radius_edit_plans_what_the_run_does(cli_dataset, tmp_path, capsys):
-    config_path = Path(_config_with_sources(cli_dataset, tmp_path))
-    assert main(["run", "--config", str(config_path)]) == 0
-    capsys.readouterr()
+def _widen_the_radius(config_path: Path, out: Path) -> list[str]:
     config_doc = json.loads(config_path.read_text())
     config_doc["venue"]["radius_m"] = 3500
     config_path.write_text(json.dumps(config_doc))
-    plan = _statuses(capsys, ["run", "--config", str(config_path), "--dry-run"])
-    assert plan == {"ingest": "run", "format_events": "skip", "decompose": "run",
-                    "predict": "run", "evaluate": "run", "report": "run"}
-    assert _statuses(capsys, ["run", "--config", str(config_path)]) == plan
+    return []
+
+
+def _delete_the_decomposition(config_path: Path, out: Path) -> list[str]:
+    (out / "decomposition.csv").unlink()
+    return []
+
+
+def _add_an_event_on_a_test_day(config_path: Path, out: Path) -> list[str]:
+    events = config_path.parent / "events.json"
+    records = json.loads(events.read_text())
+    records.append({**records[0], "date": "2021-06-10"})  # a day without events
+    events.write_text(json.dumps(records))
+    return []
+
+
+def _copy_the_output_dir(config_path: Path, out: Path) -> list[str]:
+    shutil.copytree(out, out.with_name("copied"))
+    return ["--output-dir", str(out.with_name("copied"))]
+
+
+def _move_the_output_dir(config_path: Path, out: Path) -> list[str]:
+    out.rename(out.with_name("moved"))
+    return ["--output-dir", str(out.with_name("moved"))]
+
+
+@pytest.mark.parametrize("edit, plan, run", [
+    pytest.param(_widen_the_radius, "run skip run run run run", None, id="radius"),
+    pytest.param(_add_an_event_on_a_test_day, "skip run run run run run", None,
+                 id="event_source_edited"),
+    pytest.param(_copy_the_output_dir, "skip skip skip skip skip skip", None,
+                 id="output_dir_copied"),
+    pytest.param(_move_the_output_dir, "skip skip skip skip skip skip", None,
+                 id="output_dir_moved"),
+    # `decompose` writes the bytes it wrote before, so the run skips every
+    # stage after it; the plan runs nothing, so it shows them to run, unchecked.
+    pytest.param(_delete_the_decomposition, "skip skip run run run run",
+                 "skip skip run skip skip skip", id="decomposition_deleted"),
+])
+def test_dry_run_after_an_edit_plans_what_the_run_does(
+    cli_dataset, tmp_path, capsys, edit, plan, run
+):
+    shutil.copyfile(cli_dataset / "events.json", tmp_path / "events.json")
+    config_path = Path(_config_with_sources(
+        cli_dataset, tmp_path, event_source=tmp_path / "events.json"))
+    assert main(["run", "--config", str(config_path)]) == 0
+    capsys.readouterr()
+    argv = ["run", "--config", str(config_path), *edit(config_path, tmp_path / "o")]
+    planned = _statuses(capsys, [*argv, "--dry-run"])
+    assert planned == dict(zip(DEFAULT_RUN_STAGES, plan.split()))
+    assert _statuses(capsys, argv) == dict(zip(DEFAULT_RUN_STAGES, (run or plan).split()))
 
 
 def test_event_source_that_is_not_utf8_exits_2(cli_dataset, tmp_path, capsys):

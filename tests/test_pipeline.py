@@ -147,9 +147,17 @@ def test_missing_source_is_config_error(small_config, tmp_path):
         run_stage("ingest", config)
 
 
-def test_unknown_stage_rejected(small_config):
+def test_unknown_stage_rejected(small_config, tmp_path):
     with pytest.raises(ConfigError):
         run_stage("transmogrify", small_config)
+    # Every name is checked before the first stage runs.
+    config = replace(small_config, output_dir=tmp_path / "out")
+    with pytest.raises(ConfigError, match="unknown stage: transmogrify"):
+        run_pipeline(config, ["ingest", "transmogrify"])
+    with pytest.raises(ConfigError, match="unknown stage: transmogrify"):
+        plan_pipeline(config, ["ingest", "transmogrify"])
+    assert not any(artifact_path(config, name).exists() for name in ARTIFACTS)
+    assert not (config.output_dir / "manifest.json").exists()
 
 
 # --- the predict stage, one target day -------------------------------------------------
@@ -366,8 +374,9 @@ def test_manifest_records_digests_and_backend(pipeline_run):
     predict_entry = manifest["stages"]["predict"]
     for digest in predict_entry["inputs"].values():
         assert len(digest) == 64
+    assert set(predict_entry["outputs"]) == {"predictions", "predictions_detail", "parse_failures"}
     assert artifact_path(config, "predictions").as_posix() in {
-        Path(p).as_posix() for p in predict_entry["outputs"]
+        artifact_path(config, key).as_posix() for key in predict_entry["outputs"]
     }
 
 
@@ -1148,8 +1157,14 @@ def _pickups(config) -> int:
     ))
 
 
+def _key_path(config, key: str) -> Path:
+    """The file a manifest key names: an artifact's name, or a source's path."""
+    return artifact_path(config, key) if key in ARTIFACTS else Path(key)
+
+
 def _stat_record(config, path: Path):
-    return load_manifest(config).get("files", {}).get(str(path))
+    keys = {artifact_path(config, name): name for name in ARTIFACTS}
+    return load_manifest(config).get("files", {}).get(keys.get(path, str(path)))
 
 
 def _assert_recorded_digests_are_true(config) -> None:
@@ -1157,10 +1172,12 @@ def _assert_recorded_digests_are_true(config) -> None:
     for entry in manifest["stages"].values():
         for key, digest in {**entry["inputs"], **entry["outputs"]}.items():
             if digest is not None:
-                assert digest == hashlib.sha256(Path(key).read_bytes()).hexdigest(), key
+                path = _key_path(config, key)
+                assert digest == hashlib.sha256(path.read_bytes()).hexdigest(), key
     for key, record in manifest["files"].items():
-        if pipeline._stat(Path(key)) == record[:5]:
-            assert record[5] == hashlib.sha256(Path(key).read_bytes()).hexdigest(), key
+        path = _key_path(config, key)
+        if pipeline._stat(path) == record[:5]:
+            assert record[5] == hashlib.sha256(path.read_bytes()).hexdigest(), key
 
 
 @pytest.fixture
@@ -1294,6 +1311,29 @@ def test_copied_output_directory_is_hashed_again(
     assert decomposition.read_bytes() == expected
     _assert_recorded_digests_are_true(config)
     assert _ran(run_pipeline(config)) == set()
+
+
+def test_copied_or_moved_output_directory_skips(
+    small_config, tmp_path, short_margin, opens
+):
+    """Artifacts are keyed by name, so a copy or a move of a complete output
+    directory skips every stage. A move keeps each file's inode and ctime,
+    so its records are reused and no file is opened."""
+    config = _fresh(small_config, tmp_path)
+    run_pipeline(config, STAGES)
+    short_margin()
+    assert _ran(run_pipeline(config, STAGES)) == set()  # records every aged file
+    copied = replace(config, output_dir=tmp_path / "copied")
+    moved = replace(config, output_dir=tmp_path / "moved")
+    shutil.copytree(config.output_dir, copied.output_dir, copy_function=shutil.copy2)
+    os.rename(config.output_dir, moved.output_dir)
+    for where in (copied, moved):
+        assert all(p["would_skip"] for p in plan_pipeline(where, STAGES))
+        opens.clear()
+        no_replies = ScriptedBackend({})  # any request raises
+        assert _ran(run_pipeline(where, STAGES, no_replies)) == set()
+        _assert_recorded_digests_are_true(where)
+    assert opens == []  # in the moved directory
 
 
 @pytest.mark.parametrize("misshapen", [
