@@ -129,7 +129,7 @@ class PipelineConfig:
             doc = json.loads(read_text(path))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(doc, base_dir=path.parent)
+        return cls.from_dict(doc, base_dir=path.absolute().parent)
 
 
 # One codec for every config dataclass, driven by its fields and type hints.

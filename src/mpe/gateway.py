@@ -130,9 +130,12 @@ def canonical_serialization(request: ChatRequest) -> str:
 
 
 class ChatBackend:
-    """Interface: complete one chat request."""
+    """Interface: complete one chat request. `waits`: a call waits on I/O
+    outside the GIL, so a stage overlaps `concurrency` calls on threads. A
+    caller's own backend does, unless its class sets `waits = False`."""
 
     namespace = "default"  # who answers; a response store keeps each one's replies apart
+    waits = True
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         raise NotImplementedError
@@ -285,6 +288,8 @@ class ScriptedBackend(ChatBackend):
     Unknown requests raise rather than fabricate.
     """
 
+    waits = False
+
     def __init__(self, script: Mapping[str, str]):
         # A digest key is stored lower-cased, as `request.digest` spells it.
         digests = {k: k.lower() for k in script
@@ -353,6 +358,7 @@ class CachingBackend(ChatBackend):
         self.inner = inner
         self.store = Path(store)
         self.log = self.store / getattr(inner, "namespace", ChatBackend.namespace) / "log"
+        self.waits = getattr(inner, "waits", ChatBackend.waits)
         try:
             self.log.mkdir(parents=True, exist_ok=True)
         except OSError as exc:

@@ -109,6 +109,7 @@ class HeuristicBackend(ChatBackend):
     """Answers this package's prompts with deterministic rules."""
 
     namespace = f"heuristic-{VERSION}"
+    waits = False
 
     def __init__(self):
         self.call_count = 0

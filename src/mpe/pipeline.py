@@ -185,12 +185,14 @@ class _FileDigests:
 
     A file that is hashed is recorded in the table, as its stat followed by
     its digest, only if its stat did not change while it was read and its
-    ctime was outside the racy margin; `added` tells whether any was.
+    ctime was outside the racy margin; `added` tells whether any was. A
+    racy file's record is kept for this walk only, in `racy`.
     """
 
     def __init__(self, manifest: dict):
         files = manifest.get("files")
         self.files = manifest["files"] = files if isinstance(files, dict) else {}
+        self.racy: dict[str, list] = {}
         self.added = False
 
     def __call__(self, key: str, path: Path) -> str | None:
@@ -199,7 +201,7 @@ class _FileDigests:
         before = _stat(path)
         if before is None:
             return None
-        record = self.files.get(key)
+        record = self.files.get(key, self.racy.get(key))
         if (isinstance(record, list) and len(record) == 6 and record[:5] == before
                 and isinstance(record[5], str)):
             return record[5]
@@ -212,9 +214,10 @@ class _FileDigests:
         except FileNotFoundError:
             return None
         digest = sha.hexdigest()
-        if _stat(path) == before and before[4] < now - _RACY_MARGIN_NS:
-            self.files[key] = [*before, digest]
-            self.added = True
+        if _stat(path) == before:
+            recorded = before[4] < now - _RACY_MARGIN_NS
+            (self.files if recorded else self.racy)[key] = [*before, digest]
+            self.added |= recorded
         return digest
 
 
@@ -357,8 +360,11 @@ def _ask(
     return _Reply(None, response, digest, tuple(failures))
 
 
-def _map(config: PipelineConfig, fn: Callable, items: Iterable) -> list:
-    """`fn` over `items` on `concurrency` threads; results and first failure in item order."""
+def _map(config: PipelineConfig, backend: ChatBackend, fn: Callable, items: Iterable) -> list:
+    """`fn` over `items`; results and first failure in item order. Threads
+    overlap only a backend that waits; else, or below two, here in series."""
+    if config.concurrency < 2 or not getattr(backend, "waits", ChatBackend.waits):
+        return [fn(item) for item in items]
     with concurrent.futures.ThreadPoolExecutor(max_workers=config.concurrency) as pool:
         return list(pool.map(fn, items))
 
@@ -424,7 +430,7 @@ def _run_predictions(
         )
         return DayPrediction(fallback, True, failures, reply.digest)
 
-    return _map(config, predict_day, range(targets.n_days))
+    return _map(config, backend, predict_day, range(targets.n_days))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +480,7 @@ def _stage_format_events(config: PipelineConfig, backend: ChatBackend) -> dict:
         }
 
     records = [unique[k] for k in sorted(unique, key=lambda k: (k[0], k[1] or ""))]
-    entries = _map(config, format_event, records)
+    entries = _map(config, backend, format_event, records)
     atomic_write_text(
         artifact_path(config, "formatted_events"),
         json.dumps(entries, indent=2, sort_keys=True, ensure_ascii=False),

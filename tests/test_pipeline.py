@@ -1,5 +1,6 @@
 """Orchestration: config, stage dependencies, prediction flow, manifest."""
 
+import concurrent.futures
 import csv
 import errno
 import hashlib
@@ -29,7 +30,7 @@ from mpe.errors import (
     TransportError,
 )
 from mpe.events import parse_event_records
-from mpe.gateway import BackendConfig, CachingBackend, ScriptedBackend
+from mpe.gateway import BackendConfig, CachingBackend, ScriptedBackend, read_store
 from mpe.geo import GeoPoint
 from mpe.heuristic import HeuristicBackend
 from mpe.pipeline import (
@@ -463,6 +464,8 @@ def test_unregistered_mock_prompt_is_backend_error(small_config, tmp_path):
 class _SlowOnBackend(ScriptedBackend):
     """Holds back the replies to prompts that contain `slow`."""
 
+    waits = True
+
     def __init__(self, script, slow: str):
         super().__init__(script)
         self.slow = slow
@@ -542,6 +545,8 @@ def test_each_stage_renders_each_history_day_once_per_ablation(
 class _SleepingBackend(HeuristicBackend):
     """Sleeps in each call, as a backend waiting on the network does."""
 
+    waits = True
+
     def __init__(self):
         super().__init__()
         self.threads = set()
@@ -561,20 +566,109 @@ class _SleepingBackend(HeuristicBackend):
                 self.in_flight -= 1
 
 
-@pytest.mark.parametrize("stage, count", [
-    pytest.param(
-        "format_events", lambda result, config: result.stats["unique"], id="format_events"
-    ),
-    pytest.param("predict", lambda result, config: config.test_range.n_days, id="predict"),
+def _unique_events(result, config):
+    return result.stats["unique"]
+
+
+def _target_days(result, config):
+    return config.test_range.n_days
+
+
+@pytest.mark.parametrize("stage, count, cached", [
+    pytest.param("format_events", _unique_events, False, id="format_events"),
+    pytest.param("predict", _target_days, False, id="predict"),
+    pytest.param("format_events", _unique_events, True, id="format_events-cached"),
+    pytest.param("predict", _target_days, True, id="predict-cached"),
 ])
-def test_predict_keeps_concurrency_requests_in_flight(small_config, tmp_path, stage, count):
+def test_predict_keeps_concurrency_requests_in_flight(
+    small_config, tmp_path, stage, count, cached
+):
     config = _fresh(small_config, tmp_path, concurrency=3)
     run_pipeline(config, PRE_PREDICT)
     artifact_path(config, _STAGE_DEFS[stage].writes[0]).unlink(missing_ok=True)
-    backend = _SleepingBackend()
+    sleeping = _SleepingBackend()
+    backend = CachingBackend(sleeping, tmp_path / "store") if cached else sleeping
     result = run_stage(stage, config, backend)
-    assert backend.call_count == result.stats["backend_calls"] == count(result, config)
-    assert backend.peak == len(backend.threads) == 3
+    assert sleeping.call_count == result.stats["backend_calls"] == count(result, config)
+    assert sleeping.peak == len(sleeping.threads) == 3
+
+
+LLM_STAGES = ("format_events", "predict", "ablate")
+
+
+@pytest.fixture(scope="module")
+def heuristic_script(small_config, tmp_path_factory) -> dict:
+    """Digest -> the heuristic's reply, for every request of the LLM stages."""
+    root = tmp_path_factory.mktemp("heuristic_script")
+    config = _fresh(small_config, root, cache_dir=root / "store")
+    run_pipeline(config, PRE_PREDICT + ("predict", "ablate"))
+    return {digest: response.content for _, digest, _, response in read_store(root / "store")}
+
+
+def _calling_threads(backend) -> list:
+    """The id of the thread of each later call to `backend.complete`."""
+    threads = []
+    complete = backend.complete
+
+    def recording(request):
+        threads.append(threading.get_ident())
+        return complete(request)
+
+    backend.complete = recording
+    return threads
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["bare", "cached"])
+@pytest.mark.parametrize("kind", ["heuristic", "mock"])
+def test_in_process_backends_answer_on_the_stage_thread(
+    small_config, tmp_path, heuristic_script, kind, cached
+):
+    config = _fresh(small_config, tmp_path, concurrency=3)
+    run_pipeline(config, PRE_PREDICT)
+    inner = HeuristicBackend() if kind == "heuristic" else ScriptedBackend(heuristic_script)
+    backend = CachingBackend(inner, tmp_path / "store") if cached else inner
+    outer, reached = _calling_threads(backend), _calling_threads(inner)
+    for stage in LLM_STAGES:
+        artifact_path(config, _STAGE_DEFS[stage].writes[0]).unlink(missing_ok=True)
+        before = len(reached)
+        assert not run_stage(stage, config, backend).skipped
+        assert len(reached) > before, stage  # a fresh store: every call reaches the model
+    assert set(outer) == set(reached) == {threading.get_ident()}
+
+
+def test_one_worker_starts_no_thread_pool_even_for_a_backend_that_waits(
+    small_config, tmp_path, monkeypatch
+):
+    config = _fresh(small_config, tmp_path, concurrency=1)
+    run_pipeline(config, PRE_PREDICT)
+    made = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counting)
+    backend = HeuristicBackend()
+    backend.waits = True  # as a backend on the network says
+    for stage in LLM_STAGES:
+        artifact_path(config, _STAGE_DEFS[stage].writes[0]).unlink(missing_ok=True)
+        assert not run_stage(stage, config, backend).skipped
+    assert backend.call_count > 0 and made == []
+
+
+def test_a_missing_scripted_day_stops_predict_at_its_own_call(small_config, tmp_path):
+    config = _fresh(small_config, tmp_path, concurrency=3)
+    run_pipeline(config, PRE_PREDICT)
+    k = 3
+    backend = ScriptedBackend({
+        f"Next day: {config.test_range.start + timedelta(days=i)}":
+            "[pickup] 400 [dropoff] 250 [reasoning] scripted"
+        for i in range(k - 1)
+    })
+    with pytest.raises(MissingScriptError):
+        run_stage("predict", config, backend)
+    assert backend.call_count == k
 
 
 def test_predict_serialises_each_request_once(small_config, tmp_path, monkeypatch):
@@ -1336,6 +1430,23 @@ def test_copied_or_moved_output_directory_skips(
     assert opens == []  # in the moved directory
 
 
+def test_a_config_named_relatively_or_absolutely_keys_its_sources_alike(
+    small_config, tmp_path, monkeypatch
+):
+    dataset = tmp_path / "ds"
+    dataset.mkdir()
+    for source in (small_config.trip_source, small_config.event_source):
+        shutil.copy(source, dataset / source.name)
+    doc = _fresh(small_config, tmp_path).to_dict()
+    doc.update(trip_source=small_config.trip_source.name,
+               event_source=small_config.event_source.name, output_dir="out")
+    (dataset / "config.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    run_pipeline(PipelineConfig.from_file("ds/config.json"), STAGES)
+    plan = plan_pipeline(PipelineConfig.from_file(dataset / "config.json"), STAGES)
+    assert [p["outcome"] for p in plan] == ["skip"] * 7
+
+
 @pytest.mark.parametrize("misshapen", [
     pytest.param(lambda record: "x", id="string"),
     pytest.param(lambda record: [], id="list"),
@@ -1449,6 +1560,15 @@ def test_second_aged_all_skipped_run_opens_no_file(small_config, tmp_path, short
     opens.clear()
     assert _ran(run_pipeline(config, STAGES)) == set()
     assert opens == []
+
+
+def test_a_walk_hashes_each_file_too_young_to_record_once(small_config, tmp_path, opens):
+    config = _fresh(small_config, tmp_path)
+    run_pipeline(config, STAGES)
+    opens.clear()
+    assert _ran(run_pipeline(config, STAGES)) == set()  # inside the racy margin
+    assert artifact_path(config, "decomposition") in opens
+    assert len(opens) == len(set(opens))
 
 
 def test_up_to_date_run_reads_the_manifest_once(seven_stage_run, monkeypatch):
