@@ -1,7 +1,8 @@
 """Command line entry point: stage commands, a full run, and synth.
 
-Exit codes: 0 success, 2 configuration error, 3 stage precondition error,
-4 backend error, 5 parse-fallback budget exceeded.
+Exit codes: 0 success, 1 stage error (a dead worker process among them),
+2 configuration error, 3 stage precondition error, 4 backend error, 5
+parse-fallback budget exceeded.
 """
 
 from __future__ import annotations
@@ -24,33 +25,21 @@ from .synthetic import generate_files
 from .trips import DateRange
 
 
+_FLAG_FIELDS = ("output_dir", "backend_kind", "mock_script", "cache_dir", "ablation")
+
+
 def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
-    from dataclasses import replace
-
-    updates = {}
-    if args.output_dir is not None:
-        updates["output_dir"] = Path(args.output_dir)
-    if args.backend is not None:
-        updates["backend_kind"] = args.backend
-    if args.mock_script is not None:
-        updates["mock_script"] = Path(args.mock_script)
-    if args.cache_dir is not None:
-        updates["cache_dir"] = Path(args.cache_dir)
-    if args.ablation is not None:
-        from .errors import ConfigError
-        from .prompts import AblationConfig
-
-        try:
-            updates["ablation"] = AblationConfig.parse(args.ablation)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    return replace(config, **updates) if updates else config
+    """`config` with the fields its flags give, read as fields of a config
+    file in the working directory are."""
+    flags = {k: v for k, v in vars(args).items() if k in _FLAG_FIELDS and v is not None}
+    return PipelineConfig.from_dict({**config.to_dict(), **flags}, base_dir=Path.cwd())
 
 
 def _add_stage_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="pipeline config JSON")
     parser.add_argument("--output-dir", help="override the configured output directory")
-    parser.add_argument("--backend", metavar="|".join(BACKEND_KINDS), help="override the kind")
+    parser.add_argument("--backend", dest="backend_kind", metavar="|".join(BACKEND_KINDS),
+                        help="override the kind")
     parser.add_argument("--mock-script", help="reply script for the mock backend")
     parser.add_argument("--cache-dir", help="override the response cache directory")
     parser.add_argument("--ablation", help="ablation name, e.g. c_t_h_prime/r_i or na")

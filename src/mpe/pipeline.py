@@ -545,7 +545,7 @@ def _stage_predict(config: PipelineConfig, backend: ChatBackend) -> dict:
 
 class _ClassicalFit(NamedTuple):
     records: list[EvalRecord]
-    models: tuple  # (outflow model, inflow model)
+    models: Sequence  # (outflow model, inflow model)
 
 
 def _fit_classical(
@@ -596,7 +596,8 @@ def _fit_classical(
     fits = {}
     # The GBDTs fit before the ridge: a solve leaves OpenBLAS threads
     # spinning for a while, and they would take CPU from the GBDT workers.
-    gbdt_models = _fit_gbdts(config, X_train, (y_out, y_in)) if "gbdt" in kinds else ()
+    gbdt_models = fork_map(fit_gbdt, [(X_train, y, config.gbdt) for y in (y_out, y_in)],
+                           config.concurrency) if "gbdt" in kinds else ()
     for kind in kinds:
         if kind == "gbdt":  # one call scores every test row
             models = gbdt_models
@@ -617,12 +618,6 @@ def _fit_classical(
             ))
         fits[kind] = _ClassicalFit(records, models)
     return fits
-
-
-def _fit_gbdts(config: PipelineConfig, X: np.ndarray, targets: Sequence[np.ndarray]) -> tuple:
-    """`fit_gbdt` of `X` on each of `targets`, in order, side by side on
-    fork workers bounded by `concurrency` (see `fork_map`)."""
-    return tuple(fork_map(fit_gbdt, [(X, y, config.gbdt) for y in targets], config.concurrency))
 
 
 def _classical_ablation(ablation: AblationConfig) -> AblationConfig:
@@ -891,15 +886,15 @@ def _digests(config: PipelineConfig, items: Iterable, digest: _FileDigests) -> d
 
 
 def _check(
-    stage: str, config: PipelineConfig, manifest: dict, digest: _FileDigests
+    stage: str, config: PipelineConfig, doc: dict, manifest: dict, digest: _FileDigests
 ) -> tuple[dict, bool]:
-    """The skip check: the stage's state (its config slice, inputs and
-    outputs, as the manifest records them) and whether the stage's entry in
-    `manifest` matches that state. A required input must exist."""
+    """The skip check: the stage's state (its config slice, taken from the
+    encoded fields `doc`, and its inputs and outputs, as the manifest records
+    them) and whether the stage's entry in `manifest` matches that state. A
+    required input must exist."""
     stage_def = _STAGE_DEFS[stage]
     config_slice = json.dumps(
-        {name: encode(getattr(config, name)) for name in stage_def.config},
-        sort_keys=True, separators=(",", ":"),
+        {name: doc[name] for name in stage_def.config}, sort_keys=True, separators=(",", ":"),
     )
     inputs: dict[str, str | None] = {}
     for item in stage_def.reads(config):
@@ -939,6 +934,9 @@ def _walk(
             raise ConfigError(f"unknown stage: {stage}")
     pending: set[str] = set()  # artifacts of the stages planned to run
     blocked = False
+    # Each field that a stage's config slice names, encoded once per walk.
+    doc = {name: encode(getattr(config, name))
+           for name in {name for stage in stages for name in _STAGE_DEFS[stage].config}}
     for stage in stages:
         stage_def = _STAGE_DEFS[stage]
         if blocked:
@@ -948,7 +946,7 @@ def _walk(
             outcome, detail = "run", None
         else:
             try:
-                detail, up_to_date = _check(stage, config, manifest, digest)
+                detail, up_to_date = _check(stage, config, doc, manifest, digest)
                 outcome = "skip" if up_to_date else "run"
             except (ConfigError, PreconditionError) as exc:
                 outcome, detail, blocked = "blocked", exc, True
@@ -959,16 +957,14 @@ def _walk(
 
 def plan_pipeline(config: PipelineConfig, stages: Sequence[str]) -> list[dict]:
     """Dry-run view of `run_pipeline(config, stages)`: per stage, its `_walk`
-    outcome, whether it would skip, what blocks it, whether the run reaches
-    it, and the files it writes. The manifest is read once; nothing is saved."""
+    outcome, what blocks it, and the files it writes. The manifest is read
+    once; nothing is saved."""
     manifest = load_manifest(config)
     return [{
         "stage": stage,
         "outcome": outcome,
         "outputs": [str(artifact_path(config, n)) for n in _STAGE_DEFS[stage].writes],
-        "would_skip": outcome == "skip",
         "blocked": [str(detail)] if outcome == "blocked" else [],
-        "reached": outcome != "not reached",
     } for stage, outcome, detail in _walk(
         config, stages, manifest, _FileDigests(manifest), planning=True)]
 

@@ -367,66 +367,55 @@ class TripFile:
         header = next(csv.reader([self._header]), None) if head else None
         self._columns = _column_indexes(header)
         self._commas = len(header) - 1
-        ranges = self._ranges(len(head))
-        if len(ranges) < 2:
-            row = self._count_range(counts, len(head), float("inf"), lambda _, n: self.fh.read(n))
-        else:
-            row, calls = 0, [(counts, self.fh.fileno(), *r) for r in ranges]
-            for part, flows, rows, error in fork_map(self._part, calls, len(calls)):
-                if error is not None:
-                    raise error
-                counts.flows += flows
-                self.valid += part.valid
-                self.rejects += (RejectionNote(r.row + row, r.reason) for r in part.rejects)
-                row += rows
-                self.switch = part.switch
-                if self.switch is not None:
-                    break
+        row, calls = 0, [(counts, self.fh.fileno(), *r) for r in self._ranges(len(head))]
+        for part, flows, rows, error in fork_map(self._part, calls, len(calls)):
+            if error is not None:
+                raise error
+            counts.flows += flows
+            self.valid += part.valid
+            self.rejects += (RejectionNote(r.row + row, r.reason) for r in part.rejects)
+            row += rows
+            self.switch = part.switch
+            if self.switch is not None:
+                break
         if self.switch is not None:
             self._read_rest(counts, self.switch, row)
 
     def _ranges(self, start: int) -> list[tuple[int, int]]:
         """Byte ranges covering the file from `start` on, each but the last
         ending on a newline: as many as fork_workers(workers) allows, at most
-        one per BLOCK_SIZE bytes of the file, and none with no descriptor."""
-        try:
-            fd = self.fh.fileno()
-        except io.UnsupportedOperation:
-            return []
+        one per BLOCK_SIZE bytes of the file."""
+        fd = self.fh.fileno()
         size = os.fstat(fd).st_size
         n = min(fork_workers(self.workers), size // BLOCK_SIZE)
         cuts = [_line_start(fd, start + (size - start) * k // n) for k in range(1, n)]
         return [(a, b) for a, b in zip([start, *cuts], [*cuts, size]) if a < b]
 
     def _part(self, counts: _DayCounts, fd: int, start: int, stop: int) -> tuple:
-        """A fork worker's _count_range on copies of this file and `counts`,
-        by os.pread on `fd` (it shares the parent's file offset): the copies'
-        state, rows numbered, and the UnicodeDecodeError that stopped it."""
+        """Count the lines from byte `start` to `stop` of file `fd` into copies
+        of this file and `counts`, on a fork worker or here, numbering rows
+        from 1, until a line with a quote or bare CR sets `switch`. It reads
+        by os.pread, as a fork worker shares the parent's file offset.
+        Returns the copies' state, rows numbered, and the UnicodeDecodeError
+        that stopped it."""
         part, counts = copy.copy(self), copy.copy(counts)
         part.rejects, part.valid, counts.flows = [], 0, np.zeros_like(counts.flows)
+        pos, offset, row, carry = start, start, 0, b""
         try:
-            rows = part._count_range(counts, start, stop, lambda pos, n: os.pread(fd, n, pos))
+            while part.switch is None:
+                chunk = os.pread(fd, min(BLOCK_SIZE, stop - pos), pos)
+                pos += len(chunk)
+                data = carry + chunk
+                cut = data.rfind(b"\n") + 1 if chunk else len(data)
+                if cut:
+                    row = part._block(counts, memoryview(data)[:cut], offset, row)
+                    offset += cut
+                carry = data[cut:]
+                if not chunk:
+                    break
         except UnicodeDecodeError as exc:
             return part, counts.flows, 0, exc
-        return part, counts.flows, rows, None
-
-    def _count_range(self, counts: _DayCounts, start: int, stop: float, read) -> int:
-        """Count the lines from byte `start` to `stop` of the file, which
-        `read(pos, n)` reads, numbering rows from 1, until a line with a quote
-        or bare CR sets `switch`. Returns the rows numbered."""
-        pos, offset, row, carry = start, start, 0, b""
-        while self.switch is None:
-            chunk = read(pos, min(BLOCK_SIZE, stop - pos))
-            pos += len(chunk)
-            data = carry + chunk
-            cut = data.rfind(b"\n") + 1 if chunk else len(data)
-            if cut:
-                row = self._block(counts, memoryview(data)[:cut], offset, row)
-                offset += cut
-            carry = data[cut:]
-            if not chunk:
-                break
-        return row
+        return part, counts.flows, row, None
 
     def _read_rest(self, counts: _DayCounts, pos: int, row: int) -> None:
         """Read the file from byte `pos` on as csv.reader reads it, numbering

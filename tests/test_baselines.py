@@ -9,7 +9,6 @@ import sys
 import threading
 import warnings
 from datetime import date, time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,8 +27,9 @@ from mpe.baselines import (
     predict_linear,
     save_model,
 )
+from mpe.errors import StageError
 from mpe.events import DayEvents, EventRecord
-from mpe.pipeline import _fit_gbdts
+from mpe.forking import fork_map
 from mpe.prompts import AblationConfig, DemandFeatures, EventFeatures
 
 from oracles import (
@@ -607,15 +607,16 @@ def _pool_inputs():
     return X, (X[:, 0] * 3 + rng.normal(size=90), np.abs(X[:, 1]) + rng.normal(size=90))
 
 
-def _fit_config(concurrency: int) -> SimpleNamespace:
-    return SimpleNamespace(concurrency=concurrency, gbdt=POOL_PARAMS)
+def _fit_gbdts(X, targets, concurrency: int) -> list:
+    """The GBDT fits as `_fit_classical` makes them."""
+    return fork_map(fit_gbdt, [(X, y, POOL_PARAMS) for y in targets], concurrency)
 
 
 def test_worker_fits_equal_series_fits_and_the_reference(pools):
     X, targets = _pool_inputs()
-    on_workers = _fit_gbdts(_fit_config(2), X, targets)
+    on_workers = _fit_gbdts(X, targets, 2)
     assert len(pools) == 1
-    in_series = _fit_gbdts(_fit_config(1), X, targets)
+    in_series = _fit_gbdts(X, targets, 1)
     assert len(pools) == 1
     assert multiprocessing.active_children() == []
     for worker, series, y in zip(on_workers, in_series, targets):
@@ -627,19 +628,16 @@ def test_worker_fits_equal_series_fits_and_the_reference(pools):
 
 FORK_AFTER_SOLVE = """
 import json, os, sys
-from types import SimpleNamespace
 import numpy as np
-from mpe.baselines import GbdtParams
-from mpe.pipeline import _fit_gbdts
+from mpe.baselines import GbdtParams, fit_gbdt
+from mpe.forking import fork_map
 os.sched_getaffinity = lambda pid: {0, 1}  # fork on any host
 a = np.random.default_rng(61).normal(size=(200, 200))
 np.linalg.solve(a @ a.T + 200 * np.eye(200), np.ones(200))  # wakes the BLAS threads
 data = json.load(sys.stdin)
 params = GbdtParams(**data["params"])
-models = _fit_gbdts(
-    SimpleNamespace(concurrency=2, gbdt=params), np.array(data["X"]),
-    [np.array(y) for y in data["targets"]],
-)
+X = np.array(data["X"])
+models = fork_map(fit_gbdt, [(X, np.array(y), params) for y in data["targets"]], 2)
 assert "concurrent.futures.process" in sys.modules
 print(json.dumps([model.trees for model in models]))
 """
@@ -673,13 +671,13 @@ def test_fits_run_in_series_without_two_workers_or_with_a_live_thread(monkeypatc
     if case == "second_thread":
         thread.start()
     try:
-        models = _fit_gbdts(_fit_config(1 if case == "concurrency_1" else 2), X, targets)
+        models = _fit_gbdts(X, targets, 1 if case == "concurrency_1" else 2)
     finally:
         stop.set()
         if thread.is_alive():
             thread.join(timeout=10)
     assert not thread.is_alive()
-    assert models == tuple(fit_gbdt(X, y, POOL_PARAMS) for y in targets)
+    assert models == [fit_gbdt(X, y, POOL_PARAMS) for y in targets]
 
 
 def test_a_fit_failing_on_a_worker_raises_its_type_and_leaves_no_worker(pools):
@@ -687,7 +685,21 @@ def test_a_fit_failing_on_a_worker_raises_its_type_and_leaves_no_worker(pools):
     bad = y.copy()
     bad[3] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        _fit_gbdts(_fit_config(2), X, (y, bad))
+        _fit_gbdts(X, (y, bad), 2)
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
+
+
+def _exit_on_a_worker(parent: int) -> int:
+    """Ends the process it runs in, unless that is `parent`."""
+    if os.getpid() != parent:
+        os._exit(1)
+    return parent
+
+
+def test_a_worker_that_dies_is_a_stage_error_and_leaves_no_worker(pools):
+    with pytest.raises(StageError, match="a worker process died"):
+        fork_map(_exit_on_a_worker, [(os.getpid(),)] * 2, 2)
     assert len(pools) == 1
     assert multiprocessing.active_children() == []
 

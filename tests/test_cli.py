@@ -1,14 +1,18 @@
 """CLI: stage commands, overrides, dry-run, and exit codes."""
 
 import json
+import os
 import shutil
 from datetime import date
 from pathlib import Path
 
 import pytest
 
-from mpe.cli import main
-from mpe.pipeline import DEFAULT_RUN_STAGES, PipelineConfig
+from mpe import pipeline
+from mpe.baselines import fit_gbdt
+from mpe.cli import _apply_overrides, build_parser, main
+from mpe.gateway import read_store
+from mpe.pipeline import DEFAULT_RUN_STAGES, PipelineConfig, load_manifest
 
 
 @pytest.fixture(scope="module")
@@ -344,3 +348,60 @@ def test_ablate_backend_error_exits_4(cli_dataset, tmp_path, capsys):
     ])
     assert code == 4
     assert "no scripted reply" in capsys.readouterr().err
+
+
+def test_a_mock_script_named_two_ways_is_one_source(cli_dataset, tmp_path, capsys, monkeypatch):
+    """A relative --mock-script is keyed by its absolute path, so naming the
+    same script by that path plans every stage to skip."""
+    config_path = _config_with_sources(cli_dataset, tmp_path)
+    assert main(["run", "--config", config_path]) == 0  # heuristic, into the store
+    script = {digest: response.content for _, digest, _, response in read_store(tmp_path / "cache")}
+    (tmp_path / "m.json").write_text(json.dumps(script))
+    monkeypatch.chdir(tmp_path)
+    argv = ["run", "--config", config_path, "--backend", "mock", "--output-dir", "outm"]
+    assert main([*argv, "--mock-script", "m.json"]) == 0
+    capsys.readouterr()
+    planned = _statuses(capsys, [*argv, "--mock-script", str(tmp_path / "m.json"), "--dry-run"])
+    assert planned == dict.fromkeys(DEFAULT_RUN_STAGES, "skip")
+
+
+def test_flags_are_read_as_config_file_fields(cli_dataset, tmp_path, monkeypatch):
+    """Flag paths resolve against the working directory as the file's resolve
+    against its own directory, and both give the same config."""
+    config_path = _config_with_sources(cli_dataset, tmp_path)
+    doc = json.loads(Path(config_path).read_text())
+    del doc["backend"]  # its `kind` would win over `backend_kind`
+    doc.update(output_dir="o2", cache_dir="c2", mock_script="m.json", backend_kind="mock",
+               ablation="c_t_h/o")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "config.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    args = build_parser().parse_args([
+        "run", "--config", config_path, "--output-dir", "sub/o2", "--cache-dir", "sub/c2",
+        "--mock-script", "sub/m.json", "--backend", "mock", "--ablation", "c_t_h/o",
+    ])
+    flagged = _apply_overrides(PipelineConfig.from_file(config_path), args)
+    assert flagged == PipelineConfig.from_file(tmp_path / "sub" / "config.json")
+    assert flagged.output_dir == tmp_path / "sub" / "o2"
+
+
+_PYTEST_PID = os.getpid()
+
+
+def _fit_gbdt_on_a_dying_worker(X, y, params):
+    if os.getpid() != _PYTEST_PID:
+        os._exit(1)
+    return fit_gbdt(X, y, params)
+
+
+def test_a_worker_that_dies_exits_1_and_records_no_stage(
+    cli_dataset, tmp_path, capsys, monkeypatch, pools
+):
+    monkeypatch.setattr(pipeline, "fit_gbdt", _fit_gbdt_on_a_dying_worker)
+    config_path = _config_with_sources(cli_dataset, tmp_path)
+    assert main(["run", "--config", config_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a worker process died") and "Traceback" not in err
+    assert pools and pools[-1] == (2,)
+    stages = load_manifest(PipelineConfig.from_file(config_path))["stages"]
+    assert set(stages) == {"ingest", "format_events", "decompose", "predict"}

@@ -397,7 +397,7 @@ def test_plan_reports_skips_after_a_run(pipeline_run):
     config, _ = pipeline_run
     plans = plan_pipeline(config, pipeline.DEFAULT_RUN_STAGES)
     assert [p["stage"] for p in plans] == list(pipeline.DEFAULT_RUN_STAGES)
-    assert all(p["would_skip"] and p["blocked"] == [] for p in plans)
+    assert all(p["outcome"] == "skip" and p["blocked"] == [] for p in plans)
 
 
 def test_predictions_are_in_date_order(pipeline_run):
@@ -1422,7 +1422,7 @@ def test_copied_or_moved_output_directory_skips(
     shutil.copytree(config.output_dir, copied.output_dir, copy_function=shutil.copy2)
     os.rename(config.output_dir, moved.output_dir)
     for where in (copied, moved):
-        assert all(p["would_skip"] for p in plan_pipeline(where, STAGES))
+        assert all(p["outcome"] == "skip" for p in plan_pipeline(where, STAGES))
         opens.clear()
         no_replies = ScriptedBackend({})  # any request raises
         assert _ran(run_pipeline(where, STAGES, no_replies)) == set()
@@ -1520,7 +1520,7 @@ def _assert_first_skip_records_trip_file(config, short_margin, opens, saves) -> 
     assert _stat_record(config, config.trip_source) is None
     short_margin()
     saves.clear()
-    assert plan_pipeline(config, ["ingest"])[0]["would_skip"]
+    assert plan_pipeline(config, ["ingest"])[0]["outcome"] == "skip"
     assert saves == [] and _stat_record(config, config.trip_source) is None
     assert run_stage("ingest", config).skipped
     assert _stat_record(config, config.trip_source) is not None
@@ -1582,6 +1582,26 @@ def test_up_to_date_run_reads_the_manifest_once(seven_stage_run, monkeypatch):
     monkeypatch.setattr(pipeline, "load_manifest", counting_load)
     assert _ran(run_pipeline(seven_stage_run, STAGES)) == set()
     assert loads == [seven_stage_run.output_dir]
+
+
+# The config-slice digests that `seven_stage_run`'s manifest records. Any
+# other value would re-run every stage of an output directory that is up to
+# date, after an upgrade.
+CONFIG_SLICE_DIGESTS = {
+    "ingest": "8b5abe3c8c21989e87d9f010f3edd7630834899eed6816e78b0c24aee371ef3e",
+    "format_events": "a41b1b93e52fe7f8fa3db565b83ccbb01236e70f3c7fcb56d35e4be249e3ae93",
+    "decompose": "d4314657ed8190a816eead88db9c318038d6060304f7e844cd1a002c6e0bae5c",
+    "predict": "7b6bcc4d91636bc96f28233cc3a67cb5aa760977484116c368dbd4fa329ea239",
+    "evaluate": "2283d86a0f39ba02d878119236c4ce3315cb6c963c54ec9c0b4130417153b823",
+    "ablate": "a659fd1aaedba7c3f74ac50d7f8da43a574a3b35e512585fedcc7bddb6c9fe93",
+    "report": "1fbe985b136df484fd4ceaa06b2bcac51442fa49feef7f66e4bccf57ceae8e70",
+}
+
+
+def test_config_slice_digests_hold(seven_stage_run):
+    stages = load_manifest(seven_stage_run)["stages"]
+    assert {stage: entry["config_slice"] for stage, entry in stages.items()} == \
+        CONFIG_SLICE_DIGESTS
 
 
 def test_input_edited_during_its_stage_is_not_recorded(tmp_path, monkeypatch):

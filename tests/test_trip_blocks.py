@@ -12,6 +12,7 @@ import itertools
 import math
 import os
 import struct
+import tempfile
 import tracemalloc
 from datetime import date
 
@@ -45,8 +46,11 @@ def _text(data: bytes):
 
 def block_ingest(data: bytes, venue=VENUE, date_range=RANGE):
     rejects = []
-    source = TripFile(io.BytesIO(data), rejects)
-    series = aggregate_daily_demand(source, venue, date_range)
+    with tempfile.TemporaryFile() as fh:  # TripFile reads by descriptor
+        fh.write(data)
+        fh.seek(0)
+        source = TripFile(fh, rejects)
+        series = aggregate_daily_demand(source, venue, date_range)
     return series, rejects, source.valid
 
 
